@@ -19,15 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal
 
-from .dynamics import PhaseState
+from .dynamics import PhaseState, marginal_hat
 from .params import ModelParams
-from .spectral import (
-    Representation,
-    SpatialField2,
-    ifft2,
-    lp_norm_phys,
-    turning_bias_dtheta,
-)
+from .spectral import expand_bias, ifft2, lp_norm_phys, turning_bias_parts
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,8 +118,7 @@ def compute_observables(
     sobolev = float(np.sum(w3 * (1.0 + grid.ksq_3d + grid.nsq_3d) * np.abs(f_hat) ** 2))
     h1 = math.sqrt(TWO_PI * sobolev) / n_tot
 
-    rho_hat = state.rho_hat()
-    rho = ifft2(rho_hat, grid)
+    rho = ifft2(marginal_hat(f_hat, grid), grid)
     lp = {
         p: lp_norm_phys(rho, float(p), grid.cell_area) for p in LP_ORDERS
     }
@@ -189,8 +182,9 @@ def dissipation_residual(states, params: ModelParams) -> float:
 
     turning = 0.0
     if params.chi != 0.0:
-        c_field = SpatialField2(grid, s1.c_hat, Representation.FOURIER)
-        db = turning_bias_dtheta(c_field, params.tau).values
+        # d_theta B is the bias expansion of the rotated parts
+        g1, g2, s, r = turning_bias_parts(s1.c_hat, grid, params.tau)
+        db = expand_bias((g2, -g1, -2.0 * r, 2.0 * s), grid)
         f_phys = s1.f_physical()
         turning = 0.5 * params.chi * float(np.sum(f_phys * f_phys * db)) * grid.cell_volume
 

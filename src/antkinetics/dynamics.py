@@ -26,10 +26,8 @@ import numpy as np
 
 from .params import Coupling, ModelParams
 from .spectral import (
-    Representation,
-    SpatialField2,
-    SpectralField3,
     SpectralGrid,
+    expand_bias,
     fft2,
     fft3,
     ifft2,
@@ -99,10 +97,6 @@ class PhaseState:
     def c_physical(self) -> np.ndarray:
         return ifft2(self.c_hat, self.grid)
 
-    def rho_hat(self) -> np.ndarray:
-        """2-D coefficients of the angular marginal rho = int f dtheta."""
-        return self.f_hat[:, :, 0] * (TWO_PI / self.grid.n_theta)
-
     def mass(self) -> float:
         return float(self.f_hat[0, 0, 0].real) * self.grid.cell_volume
 
@@ -115,25 +109,22 @@ class PhaseState:
 # --- chemical field ----------------------------------------------------------------
 
 
-def elliptic_chemical_hat(rho_hat: np.ndarray, grid: SpectralGrid, params: ModelParams):
-    """Instantaneous chemical solve gamma c - sigma_c Lap c = rho, in coefficients."""
-    return rho_hat / (params.gamma + params.sigma_c * grid.ksq_2d)
+def marginal_hat(f_hat: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """2-D coefficients of the angular marginal rho = int f dtheta."""
+    return f_hat[:, :, 0] * (TWO_PI / grid.n_theta)
 
 
-def parabolic_chemical_step_hat(
-    c_hat: np.ndarray, rho_hat: np.ndarray, dt: float, grid: SpectralGrid, params: ModelParams
-):
-    """Exact exponential step of dc/dt = -gamma c + sigma_c Lap c + rho.
+def chemical_multipliers(grid: SpectralGrid, params: ModelParams, dt: float = math.inf):
+    """Per-mode (decay, gain) of an exact step of dc/dt = -gamma c + sigma_c Lap c + rho.
 
     The production term is held frozen over the step; each mode relaxes as
     c -> e^{-nu dt} c + (1 - e^{-nu dt}) / nu rho with
-    nu = gamma + sigma_c |2 pi m|^2.  The dt -> infinity limit is the
-    elliptic solve.
+    nu = gamma + sigma_c |2 pi m|^2.  The default dt = infinity gives
+    (0, 1 / nu): the gain is then the instantaneous (elliptic) solve
+    gamma c - sigma_c Lap c = rho.
     """
     nu = params.gamma + params.sigma_c * grid.ksq_2d
-    decay = np.exp(-nu * dt)
-    gain = -np.expm1(-nu * dt) / nu
-    return decay * c_hat + gain * rho_hat
+    return np.exp(-nu * dt), -np.expm1(-nu * dt) / nu
 
 
 # --- stepper -----------------------------------------------------------------------
@@ -171,18 +162,22 @@ class Stepper:
             phi1, phi2 = _phi12(-nu_f * dt)
             self.phi1 = phi1
             self.phi2 = phi2
-        self.rho_factor = TWO_PI / grid.n_theta
-        if params.coupling is Coupling.ELLIPTIC:
-            self.chem_mult = 1.0 / (params.gamma + params.sigma_c * grid.ksq_2d)
-        else:
-            nu_c = params.gamma + params.sigma_c * grid.ksq_2d
-            self.chem_decay = np.exp(-nu_c * dt)
-            self.chem_gain = -np.expm1(-nu_c * dt) / nu_c
+        self.parabolic = params.coupling is Coupling.PARABOLIC
+        self.chem_decay, self.chem_gain = chemical_multipliers(
+            grid, params, dt if self.parabolic else math.inf
+        )
         self.mask = grid.dealias_mask3 if cfg.dealias else None
         self.cos3 = grid.cos_theta[None, None, :]
         self.sin3 = grid.sin_theta[None, None, :]
         self.dx_min = min(1.0 / grid.n_x1, 1.0 / grid.n_x2)
         self.dtheta = TWO_PI / grid.n_theta
+
+    def drift(self, f_phys):
+        """lambda div_x(v f) in coefficients, v = (cos theta, sin theta)."""
+        grid = self.grid
+        t1 = fft3(self.cos3 * f_phys)
+        t2 = fft3(self.sin3 * f_phys)
+        return self.params.lam * (grid.ik1_3d * t1 + grid.ik2_3d * t2)
 
     # explicit part: -lambda div_x(v f) - chi d_theta(B f)
     def explicit_rhs(self, f_hat, c_hat):
@@ -191,30 +186,21 @@ class Stepper:
         rhs = np.zeros_like(f_hat)
         max_abs_b = 0.0
         if params.lam != 0.0:
-            t1 = fft3(self.cos3 * f_phys)
-            t2 = fft3(self.sin3 * f_phys)
-            rhs -= params.lam * (grid.ik1_3d * t1 + grid.ik2_3d * t2)
+            rhs -= self.drift(f_phys)
         if params.chi != 0.0:
-            c_field = SpatialField2(grid, c_hat, Representation.FOURIER)
-            g1, g2, s, r = turning_bias_parts(c_field, params.tau)
-            th = grid.theta
-            bias = (
-                -np.sin(th)[None, None, :] * g1[:, :, None]
-                + np.cos(th)[None, None, :] * g2[:, :, None]
-                + np.sin(2.0 * th)[None, None, :] * s[:, :, None]
-                + np.cos(2.0 * th)[None, None, :] * r[:, :, None]
-            )
+            bias = expand_bias(turning_bias_parts(c_hat, grid, params.tau), grid)
             max_abs_b = float(np.max(np.abs(bias)))
             rhs -= params.chi * grid.in_3d * fft3(bias * f_phys)
         if self.mask is not None:
             rhs *= self.mask
         return rhs, max_abs_b, f_phys
 
-    def chemical_of(self, f_hat, c_hat):
-        """Chemical coefficients consistent with f for stage evaluations."""
-        if self.params.coupling is Coupling.ELLIPTIC:
-            return self.chem_mult * (f_hat[:, :, 0] * self.rho_factor)
-        return c_hat
+    def chemical_of(self, c_hat, rho_hat):
+        """Chemical coefficients for the marginal rho_hat: the instantaneous
+        solve (elliptic), or one step from c_hat with rho_hat frozen (parabolic)."""
+        if self.parabolic:
+            return self.chem_decay * c_hat + self.chem_gain * rho_hat
+        return self.chem_gain * rho_hat
 
     def advisory_dt(self, max_abs_b: float) -> float:
         bound = math.inf
@@ -229,35 +215,29 @@ class Stepper:
         grid, params, cfg = self.grid, self.params, self.cfg
         dt = cfg.dt
         f_hat, c_hat = state.f_hat, state.c_hat
-        if params.coupling is Coupling.ELLIPTIC:
-            c_hat = self.chemical_of(f_hat, c_hat)
+        parabolic = self.parabolic
+        rho0 = marginal_hat(f_hat, grid)
+        if not parabolic:
+            c_hat = self.chemical_of(c_hat, rho0)
 
         n1, max_abs_b, f_phys = self.explicit_rhs(f_hat, c_hat)
         flags = state.flags
 
+        # the parabolic field is driven by the frozen (IMEX) or trapezoidal
+        # (ETDRK2) production; the elliptic one is slaved to the new density
         if cfg.scheme is Scheme.IMEX_EULER:
             f_new = self.decay_f * (f_hat + dt * n1)
-            if params.coupling is Coupling.PARABOLIC:
-                c_new = self.chem_decay * c_hat + self.chem_gain * (
-                    f_hat[:, :, 0] * self.rho_factor
-                )
-            else:
-                c_new = self.chemical_of(f_new, c_hat)
+            c_new = self.chemical_of(c_hat, rho0 if parabolic else marginal_hat(f_new, grid))
         else:
             stage = self.decay_f * f_hat + dt * self.phi1 * n1
-            if params.coupling is Coupling.PARABOLIC:
-                rho0 = f_hat[:, :, 0] * self.rho_factor
-                c_stage = self.chem_decay * c_hat + self.chem_gain * rho0
-            else:
-                c_stage = self.chemical_of(stage, c_hat)
+            rho_stage = marginal_hat(stage, grid)
+            c_stage = self.chemical_of(c_hat, rho0 if parabolic else rho_stage)
             n2, max_b2, _ = self.explicit_rhs(stage, c_stage)
             max_abs_b = max(max_abs_b, max_b2)
             f_new = stage + dt * self.phi2 * (n2 - n1)
-            if params.coupling is Coupling.PARABOLIC:
-                rho_mid = 0.5 * (rho0 + stage[:, :, 0] * self.rho_factor)
-                c_new = self.chem_decay * c_hat + self.chem_gain * rho_mid
-            else:
-                c_new = self.chemical_of(f_new, c_hat)
+            c_new = self.chemical_of(
+                c_hat, 0.5 * (rho0 + rho_stage) if parabolic else marginal_hat(f_new, grid)
+            )
 
         if not np.all(np.isfinite(f_new)) or not np.all(np.isfinite(c_new)):
             self._raise_nonfinite(state, n1)
@@ -293,12 +273,8 @@ class Stepper:
             culprits.append("chemical field (input)")
         if not np.all(np.isfinite(n1)):
             pieces = []
-            f_phys = ifft3(state.f_hat, self.grid)
             if self.params.lam != 0.0:
-                tr = self.grid.ik1_3d * fft3(self.cos3 * f_phys) + self.grid.ik2_3d * fft3(
-                    self.sin3 * f_phys
-                )
-                if not np.all(np.isfinite(tr)):
+                if not np.all(np.isfinite(self.drift(ifft3(state.f_hat, self.grid)))):
                     pieces.append("drift transport")
             if self.params.chi != 0.0 and not pieces:
                 pieces.append("turning interaction")
@@ -355,8 +331,7 @@ def state_from_density(
             )
         c_hat = fft2(c_values)
     else:
-        rho_hat = f_hat[:, :, 0] * (TWO_PI / grid.n_theta)
-        c_hat = elliptic_chemical_hat(rho_hat, grid, params)
+        c_hat = chemical_multipliers(grid, params)[1] * marginal_hat(f_hat, grid)
     return PhaseState(grid, f_hat, c_hat, t=t)
 
 
@@ -388,8 +363,8 @@ def run(
     t_end must be an integer number of steps away from state.t.  Observers
     are callables receiving the current state; they are invoked on the
     initial state (unless suppressed), on every stride-th step, and on the
-    final one.  Checkpoints, when requested, are written every
-    ``checkpoint_every`` steps and at the end.
+    final one.  With ``checkpoint_dir`` the final state is checkpointed,
+    and with ``checkpoint_every`` also every that many steps before it.
     """
     dt = cfg.dt
     span = t_end - state.t
@@ -414,10 +389,11 @@ def run(
         if i % stride == 0 or i == n_steps:
             for observer in observers:
                 observer(state)
-        if checkpoint_dir is not None and checkpoint_every and (
-            i % checkpoint_every == 0 or i == n_steps
-        ):
+        periodic = checkpoint_every and i % checkpoint_every == 0
+        if checkpoint_dir is not None and periodic and i < n_steps:
             write_checkpoint(checkpoint_dir, state, config_digest)
+    if checkpoint_dir is not None:
+        write_checkpoint(checkpoint_dir, state, config_digest)
     return RunResult(
         state=state,
         n_steps=n_steps,
@@ -430,14 +406,8 @@ def write_checkpoint(directory, state: PhaseState, config_digest: str = "") -> N
     """Binary fields plus a text manifest; enough to resume bit-exactly."""
     os.makedirs(directory, exist_ok=True)
     grid = state.grid
-    write_field(
-        os.path.join(directory, "f.field"),
-        SpectralField3(grid, state.f_hat, Representation.FOURIER),
-    )
-    write_field(
-        os.path.join(directory, "c.field"),
-        SpatialField2(grid, state.c_hat, Representation.FOURIER),
-    )
+    write_field(os.path.join(directory, "f.field"), state.f_hat, grid)
+    write_field(os.path.join(directory, "c.field"), state.c_hat, grid)
     lines = [
         f"t = {state.t!r}",
         f"t_hex = {float(state.t).hex()}",
@@ -449,7 +419,11 @@ def write_checkpoint(directory, state: PhaseState, config_digest: str = "") -> N
         fh.write("\n".join(lines) + "\n")
 
 
-def read_checkpoint(directory, expected_config_digest: str | None = None) -> PhaseState:
+def read_checkpoint(
+    directory, expected_config_digest: str | None = None, grid: SpectralGrid | None = None
+) -> PhaseState:
+    """Inverse of :func:`write_checkpoint`; rejects a foreign config digest
+    and, when ``grid`` is given, a checkpoint stored on another grid."""
     meta = {}
     with open(os.path.join(directory, "checkpoint.txt"), "r", encoding="utf-8") as fh:
         for line in fh:
@@ -462,12 +436,12 @@ def read_checkpoint(directory, expected_config_digest: str | None = None) -> Pha
                 "checkpoint was produced under a different configuration "
                 f"(hash {meta['config_hash']} != {expected_config_digest})"
             )
-    f_field = read_field(os.path.join(directory, "f.field"))
-    c_field = read_field(os.path.join(directory, "c.field"), grid=f_field.grid)
+    f_hat, grid = read_field(os.path.join(directory, "f.field"), grid)
+    c_hat, _ = read_field(os.path.join(directory, "c.field"), grid)
     return PhaseState(
-        grid=f_field.grid,
-        f_hat=f_field.values,
-        c_hat=c_field.values,
+        grid=grid,
+        f_hat=f_hat,
+        c_hat=c_hat,
         t=float.fromhex(meta["t_hex"]),
         step=int(meta["step"]),
     )

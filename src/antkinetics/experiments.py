@@ -32,7 +32,6 @@ from .dynamics import (
     read_checkpoint,
     run,
     state_from_density,
-    write_checkpoint,
 )
 from .linstab import (
     DispersionResult,
@@ -265,10 +264,10 @@ def eigen_seed_states(
                 field3 = rotated_eigenfunction(pair, grid, k)
             else:
                 field3 = eigenfunction_field(pair, grid, k)
-            f_hat = fft3(field3.values)
+            f_hat = fft3(field3)
             norm = l2_norm3_hat(f_hat, grid)
             scale = eps / norm
-            f = (1.0 / TWO_PI) + scale * field3.values
+            f = (1.0 / TWO_PI) + scale * field3
             c_values = None
             if chem is not None:
                 alpha, beta = chem
@@ -295,8 +294,7 @@ def dispersion_report(params: ModelParams, k: int) -> dict:
         "k": k,
         "coupling": params.coupling.value,
         "margin": margin,
-        "condition_gap_4pi2": condition_gap(params, k, pi_squared=True),
-        "condition_gap_4pi": condition_gap(params, k, pi_squared=False),
+        "condition_gap_4pi2": condition_gap(params, k),
         "chi_breve": rp.chi_breve,
         "tau_breve": rp.tau_breve,
         "lambda_breve": rp.lambda_breve,
@@ -358,7 +356,6 @@ def _scan_row(args):
         row.update(
             margin=report["margin"],
             condition_gap_4pi2=report["condition_gap_4pi2"],
-            condition_gap_4pi=report["condition_gap_4pi"],
             mu0=report["mu0"],
             viscous_rightmost_re=rightmost.real,
             viscous_rightmost_im=rightmost.imag,
@@ -396,7 +393,6 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
                 "k",
                 "margin",
                 "condition_gap_4pi2",
-                "condition_gap_4pi",
                 "mu0",
                 "viscous_rightmost_re",
                 "viscous_rightmost_im",
@@ -461,7 +457,7 @@ def run_growth_match(
     stride = max(1, n_steps // n_samples)
 
     # Gram matrix of the raw seed fields
-    vectors = [fft3(field3.values) for _, _, field3 in seeds]
+    vectors = [fft3(field3) for _, _, field3 in seeds]
     gram = np.zeros((4, 4))
     w3 = grid.half_weights[None, :, None]
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
@@ -645,7 +641,7 @@ def initial_state(cfg: ExperimentConfig, init: str = "random") -> PhaseState:
         f = np.repeat(rho[:, :, None], grid.n_theta, axis=2) / TWO_PI
         return state_from_density(grid, params, f)
     if init.startswith("checkpoint:"):
-        return read_checkpoint(init.split(":", 1)[1])
+        return read_checkpoint(init.split(":", 1)[1], grid=grid)
     raise ValueError(f"unknown initial condition {init!r}")
 
 
@@ -670,15 +666,13 @@ def run_simulate(
         stride=stride,
         include_initial=state.step == 0,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every if checkpoint_dir else None,
+        checkpoint_every=checkpoint_every,
         config_digest=digest,
     )
     if cfg.out_dir:
         write_manifest(cfg.out_dir, cfg.mapping, cfg.seed, {"kind": cfg.kind.value})
         write_ndjson(os.path.join(cfg.out_dir, "observables.ndjson"), collector.records)
         write_records_csv(os.path.join(cfg.out_dir, "observables.csv"), collector.records)
-        if checkpoint_dir:
-            write_checkpoint(checkpoint_dir, result.state, digest)
     final = collector.records[-1]
     return {
         "t": result.state.t,

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .params import Coupling, ReducedParams
-from .spectral import Representation, SpectralField3, SpectralGrid
+from .spectral import SpectralGrid
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,35 +213,10 @@ def viscous_eigenfunction(
     sigma = 0.
     """
     n_modes = int(n_modes)
-    if n_modes < 4:
-        raise ValueError(f"n_modes must be >= 4, got {n_modes}")
     size = 2 * n_modes + 1
     modes = np.arange(-n_modes, n_modes + 1)
-    mu_t = mu + rp.sigma_x_breve
-    lam = rp.lambda_breve
-
-    mat = np.zeros((2 * size, 2 * size))
-    diag = mu_t + rp.sigma * modes.astype(float) ** 2
-    for i in range(size):
-        mat[i, i] = diag[i]
-        mat[size + i, size + i] = diag[i]
-    # minus V: a rows gain + lam/2 b_{n +- 1}, b rows gain - lam/2 a_{n +- 1}
-    for i, n in enumerate(modes):
-        for dn in (-1, 1):
-            j = i + dn
-            if 0 <= j < size:
-                mat[i, size + j] += 0.5 * lam
-                mat[size + i, j] += -0.5 * lam
-    rhs = np.zeros(2 * size)
-    # chi B w: cos t -> 1/2 at n = +-1, cos 2t -> 1/2 at n = +-2
-    i0 = n_modes
-    for dn in (-1, 1):
-        rhs[size + i0 + dn] += -0.5 * rp.chi_breve * w[0]
-        rhs[i0 + dn] += 0.5 * rp.chi_breve * w[1]
-    for dn in (-2, 2):
-        rhs[i0 + dn] += -0.5 * rp.chi_breve * rp.tau_breve * w[0]
-        rhs[size + i0 + dn] += -0.5 * rp.chi_breve * rp.tau_breve * w[1]
-    sol = np.linalg.solve(mat, rhs)
+    mat = _shifted(mu + rp.sigma_x_breve, _kinetic_block(n_modes, rp.sigma, rp.lambda_breve))
+    sol = np.linalg.solve(mat, _bias_deposits(rp, n_modes) @ np.asarray(w, dtype=float))
 
     theta = TWO_PI * np.arange(n_theta) / n_theta
     phases = np.exp(1j * np.outer(theta, modes))
@@ -251,6 +226,51 @@ def viscous_eigenfunction(
 
 
 # --- truncated operators ---------------------------------------------------------
+
+
+def _kinetic_block(n_modes: int, sigma: float, lam: float) -> np.ndarray:
+    """Angular diffusion and drift on the (a, b) amplitudes, basis e^{i n theta}, n = -N..N.
+
+    Diagonal -sigma n^2 on both blocks; cos theta couples n to n +- 1 with
+    weight lam / 2, sign - on a rows (from b) and + on b rows (from a).
+    """
+    modes = np.arange(-n_modes, n_modes + 1).astype(float)
+    size = modes.size
+    block = np.zeros((2 * size, 2 * size))
+    i = np.arange(size)
+    block[i, i] = block[size + i, size + i] = -sigma * modes**2
+    j = i[:-1]
+    block[j, size + j + 1] = block[j + 1, size + j] = -0.5 * lam
+    block[size + j, j + 1] = block[size + j + 1, j] = 0.5 * lam
+    return block
+
+
+def _shifted(mu, block: np.ndarray) -> np.ndarray:
+    """mu Id - block, formed without an identity matrix."""
+    out = np.negative(block, dtype=np.result_type(mu, block))
+    out[np.diag_indices_from(out)] += mu
+    return out
+
+
+def _bias_deposits(rp: ReducedParams, n_modes: int) -> np.ndarray:
+    """chi_breve B w in the angular basis, one column per mean direction w = e_0, e_1.
+
+    B = [[-tau cos 2t, cos t], [-cos t, -tau cos 2t]]; cos t deposits 1/2 on
+    modes +-1 and cos 2t deposits 1/2 on modes +-2.
+    """
+    n_modes = int(n_modes)
+    if n_modes < 4:
+        raise ValueError(f"n_modes must be >= 4 to hold the deposit modes, got {n_modes}")
+    size = 2 * n_modes + 1
+    one = np.array([n_modes - 1, n_modes + 1])
+    two = np.array([n_modes - 2, n_modes + 2])
+    half = 0.5 * rp.chi_breve
+    deposits = np.zeros((2 * size, 2))
+    deposits[one, 1] = half
+    deposits[size + one, 0] = -half
+    deposits[two, 0] = -half * rp.tau_breve
+    deposits[size + two, 1] = -half * rp.tau_breve
+    return deposits
 
 
 def assemble_viscous_operator(
@@ -271,45 +291,21 @@ def assemble_viscous_operator(
       instead, which in turn relax at rate nu_breve driven by the means.
     """
     n_modes = int(n_modes)
-    if n_modes < 4:
-        raise ValueError(f"n_modes must be >= 4 to hold the deposit modes, got {n_modes}")
     size = 2 * n_modes + 1
-    modes = np.arange(-n_modes, n_modes + 1)
     i0 = n_modes
     dim = 2 * size + (2 if coupling is Coupling.PARABOLIC else 0)
     mat = np.zeros((dim, dim))
+    kinetic = slice(0, 2 * size)
+    mat[kinetic, kinetic] = _kinetic_block(n_modes, rp.sigma, rp.lambda_breve)
+    mat[np.arange(2 * size), np.arange(2 * size)] -= rp.sigma_x_breve
 
-    diag = -rp.sigma * modes.astype(float) ** 2 - rp.sigma_x_breve
-    for i in range(size):
-        mat[i, i] = diag[i]
-        mat[size + i, size + i] = diag[i]
-
-    lam = rp.lambda_breve
-    for i in range(size):
-        for dn in (-1, 1):
-            j = i + dn
-            if 0 <= j < size:
-                mat[i, size + j] += -0.5 * lam
-                mat[size + i, j] += 0.5 * lam
-
-    chi = rp.chi_breve
-    tau = rp.tau_breve
+    deposits = _bias_deposits(rp, n_modes)
     if coupling is Coupling.ELLIPTIC:
         # deposits read the means 2 pi a_0, 2 pi b_0
-        for dn in (-1, 1):
-            mat[i0 + dn, size + i0] += chi * math.pi
-            mat[size + i0 + dn, i0] += -chi * math.pi
-        for dn in (-2, 2):
-            mat[i0 + dn, i0] += -chi * tau * math.pi
-            mat[size + i0 + dn, size + i0] += -chi * tau * math.pi
+        mat[kinetic, [i0, size + i0]] += TWO_PI * deposits
     else:
         ia, ib = 2 * size, 2 * size + 1
-        for dn in (-1, 1):
-            mat[i0 + dn, ib] += 0.5 * chi
-            mat[size + i0 + dn, ia] += -0.5 * chi
-        for dn in (-2, 2):
-            mat[i0 + dn, ia] += -0.5 * chi * tau
-            mat[size + i0 + dn, ib] += -0.5 * chi * tau
+        mat[kinetic, [ia, ib]] = deposits
         mat[ia, i0] = TWO_PI
         mat[ib, size + i0] = TWO_PI
         mat[ia, ia] = -rp.nu_breve
@@ -390,20 +386,7 @@ def resolvent_norm_check(
     if mu.real <= 0.0:
         raise ValueError(f"mu must have positive real part, got {mu}")
     n_modes = int(n_modes)
-    size = 2 * n_modes + 1
-    modes = np.arange(-n_modes, n_modes + 1)
-    mat = np.zeros((2 * size, 2 * size), dtype=complex)
-    diag = mu + sigma * modes.astype(float) ** 2
-    for i in range(size):
-        mat[i, i] = diag[i]
-        mat[size + i, size + i] = diag[i]
-    lam = rp.lambda_breve
-    for i in range(size):
-        for dn in (-1, 1):
-            j = i + dn
-            if 0 <= j < size:
-                mat[i, size + j] += 0.5 * lam
-                mat[size + i, j] += -0.5 * lam
+    mat = _shifted(mu, _kinetic_block(n_modes, sigma, rp.lambda_breve))
     smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
     norm = 1.0 / smin
     bound = 1.0 / mu.real
@@ -413,14 +396,12 @@ def resolvent_norm_check(
 # --- seed fields ------------------------------------------------------------------
 
 
-def _require_quarter_turn(grid: SpectralGrid) -> None:
-    if grid.n_theta % 4:
-        raise ValueError(
-            f"quarter-turn rotation needs n_theta divisible by 4, got {grid.n_theta}"
-        )
+def _require_quarter_turn(n_theta: int) -> None:
+    if n_theta % 4:
+        raise ValueError(f"quarter-turn rotation needs n_theta divisible by 4, got {n_theta}")
 
 
-def eigenfunction_field(pair: ThetaProfilePair, grid: SpectralGrid, k: int) -> SpectralField3:
+def eigenfunction_field(pair: ThetaProfilePair, grid: SpectralGrid, k: int) -> np.ndarray:
     """Expand profiles on wavenumber k along x1:  a cos(2 pi k x1) + b sin."""
     if len(pair.theta) != grid.n_theta:
         raise ValueError("profile theta resolution does not match the grid")
@@ -429,10 +410,10 @@ def eigenfunction_field(pair: ThetaProfilePair, grid: SpectralGrid, k: int) -> S
         np.cos(z)[:, None, None] * pair.a[None, None, :]
         + np.sin(z)[:, None, None] * pair.b[None, None, :]
     )
-    return SpectralField3(grid, np.broadcast_to(values, grid.shape_phys3).copy())
+    return np.broadcast_to(values, grid.shape_phys3).copy()
 
 
-def rotated_eigenfunction(pair: ThetaProfilePair, grid: SpectralGrid, k: int) -> SpectralField3:
+def rotated_eigenfunction(pair: ThetaProfilePair, grid: SpectralGrid, k: int) -> np.ndarray:
     """The quarter-turn image f(x2, -x1, theta - pi/2) of the expanded profiles.
 
     A rotation by +pi/2 in both space and orientation commutes with the
@@ -440,7 +421,7 @@ def rotated_eigenfunction(pair: ThetaProfilePair, grid: SpectralGrid, k: int) ->
     expanded profiles depend on x1 only, hence the image reads the shifted
     profiles on wavenumber k along x2.
     """
-    _require_quarter_turn(grid)
+    _require_quarter_turn(grid.n_theta)
     shift = grid.n_theta // 4
     a = np.roll(pair.a, shift)
     b = np.roll(pair.b, shift)
@@ -449,21 +430,18 @@ def rotated_eigenfunction(pair: ThetaProfilePair, grid: SpectralGrid, k: int) ->
         np.cos(z)[None, :, None] * a[None, None, :]
         + np.sin(z)[None, :, None] * b[None, None, :]
     )
-    return SpectralField3(grid, np.broadcast_to(values, grid.shape_phys3).copy())
+    return np.broadcast_to(values, grid.shape_phys3).copy()
 
 
-def rotate_field_quarter(field: SpectralField3) -> SpectralField3:
+def rotate_field_quarter(values: np.ndarray) -> np.ndarray:
     """Rotate a physical field by a quarter turn: (x1, x2, theta) -> (x2, -x1, theta - pi/2)."""
-    grid = field.grid
-    _require_quarter_turn(grid)
-    if grid.n_x1 != grid.n_x2:
+    n_x1, n_x2, n_theta = values.shape
+    _require_quarter_turn(n_theta)
+    if n_x1 != n_x2:
         raise ValueError("quarter turns need a square spatial grid")
-    if field.representation is not Representation.PHYSICAL:
-        field = field.to_physical()
-    swapped = field.values.transpose(1, 0, 2)
+    swapped = values.transpose(1, 0, 2)
     negated = np.roll(np.flip(swapped, axis=0), 1, axis=0)  # sample at (-x1) mod 1
-    values = np.roll(negated, grid.n_theta // 4, axis=2)
-    return SpectralField3(grid, np.ascontiguousarray(values))
+    return np.ascontiguousarray(np.roll(negated, n_theta // 4, axis=2))
 
 
 def seed_profiles(

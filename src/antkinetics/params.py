@@ -175,18 +175,14 @@ def is_unstable(params: ModelParams, k: int) -> bool:
     return instability_margin(params, k) > 0.0
 
 
-def condition_gap(params: ModelParams, k: int, *, pi_squared: bool = True) -> float:
+def condition_gap(params: ModelParams, k: int) -> float:
     """Algebraic form of the instability condition, as a signed gap.
 
-    Returns chi (2 pi k tau + 1) - lambda (gamma + C sigma_c k^2) with
-    C = 4 pi^2 (the self-consistent constant) or C = 4 pi when
-    ``pi_squared`` is False.  The 4 pi variant circulates in closed-form
-    summaries and is exposed only so scan output can show both; the
+    Returns chi (2 pi k tau + 1) - lambda (gamma + 4 pi^2 sigma_c k^2); the
     dispersion route is the single source of truth.
     """
-    const = FOUR_PI_SQ if pi_squared else 4.0 * math.pi
     return params.chi * (TWO_PI * k * params.tau + 1.0) - params.lam * (
-        params.gamma + const * params.sigma_c * k * k
+        params.gamma + FOUR_PI_SQ * params.sigma_c * k * k
     )
 
 

@@ -19,7 +19,6 @@ multipliers keep the full value.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,11 +30,6 @@ TWO_PI = 2.0 * np.pi
 
 _MAGIC = b"ANTK"
 _FORMAT_VERSION = 1
-
-
-class Representation(enum.Enum):
-    PHYSICAL = 0
-    FOURIER = 1
 
 
 @dataclass(frozen=True)
@@ -201,171 +195,46 @@ def ifft2(coeffs, grid: SpectralGrid):
     return _fft.irfftn(coeffs, s=(grid.n_x1, grid.n_x2), axes=(0, 1))
 
 
-# --- fields ---------------------------------------------------------------------
+# --- turning bias ---------------------------------------------------------------
 
 
-@dataclass
-class SpectralField3:
-    """Scalar field on the full phase space, in either representation."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-    representation: Representation = Representation.PHYSICAL
-
-    def __post_init__(self):
-        expected = (
-            self.grid.shape_phys3
-            if self.representation is Representation.PHYSICAL
-            else self.grid.shape_four3
-        )
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {expected} "
-                f"for {self.representation.name} representation"
-            )
-
-    def to_fourier(self) -> "SpectralField3":
-        if self.representation is Representation.FOURIER:
-            return self
-        return SpectralField3(self.grid, fft3(self.values), Representation.FOURIER)
-
-    def to_physical(self) -> "SpectralField3":
-        if self.representation is Representation.PHYSICAL:
-            return self
-        return SpectralField3(self.grid, ifft3(self.values, self.grid), Representation.PHYSICAL)
-
-    def copy(self) -> "SpectralField3":
-        return SpectralField3(self.grid, self.values.copy(), self.representation)
-
-
-@dataclass
-class SpatialField2:
-    """Scalar field on the spatial torus only."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-    representation: Representation = Representation.PHYSICAL
-
-    def __post_init__(self):
-        expected = (
-            self.grid.shape_phys2
-            if self.representation is Representation.PHYSICAL
-            else self.grid.shape_four2
-        )
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {expected} "
-                f"for {self.representation.name} representation"
-            )
-
-    def to_fourier(self) -> "SpatialField2":
-        if self.representation is Representation.FOURIER:
-            return self
-        return SpatialField2(self.grid, fft2(self.values), Representation.FOURIER)
-
-    def to_physical(self) -> "SpatialField2":
-        if self.representation is Representation.PHYSICAL:
-            return self
-        return SpatialField2(self.grid, ifft2(self.values, self.grid), Representation.PHYSICAL)
-
-    def copy(self) -> "SpatialField2":
-        return SpatialField2(self.grid, self.values.copy(), self.representation)
-
-
-# --- calculus -------------------------------------------------------------------
-
-
-def gradient_x(c: SpatialField2) -> tuple[SpatialField2, SpatialField2]:
-    """Spatial gradient (d1 c, d2 c), returned in physical space."""
-    grid = c.grid
-    ch = c.to_fourier().values
-    g1 = ifft2(grid.ik1_2d * ch, grid)
-    g2 = ifft2(grid.ik2_2d * ch, grid)
-    return SpatialField2(grid, g1), SpatialField2(grid, g2)
-
-
-def hessian_x(c: SpatialField2) -> tuple[SpatialField2, SpatialField2, SpatialField2]:
-    """Spatial Hessian components (c11, c12, c22) in physical space.
-
-    Even-order multipliers are real, so the full Nyquist values are kept
-    and c12 == c21 exactly.
-    """
-    grid = c.grid
-    ch = c.to_fourier().values
-    m1 = (2.0 * np.pi * grid.m1.astype(np.float64))[:, None]
-    m2 = (2.0 * np.pi * grid.m2.astype(np.float64))[None, :]
-    c11 = ifft2(-(m1 * m1) * ch, grid)
-    c12 = ifft2(-(m1 * m2) * ch, grid)
-    c22 = ifft2(-(m2 * m2) * ch, grid)
-    return (
-        SpatialField2(grid, c11),
-        SpatialField2(grid, c12),
-        SpatialField2(grid, c22),
-    )
-
-
-def d_theta(f: SpectralField3) -> SpectralField3:
-    """Angular derivative, returned in the representation of the input."""
-    grid = f.grid
-    fh = f.to_fourier().values
-    out = grid.in_3d * fh
-    if f.representation is Representation.PHYSICAL:
-        return SpectralField3(grid, ifft3(out, grid))
-    return SpectralField3(grid, out, Representation.FOURIER)
-
-
-def dealias(f: SpectralField3) -> SpectralField3:
-    """Two-thirds-rule truncation in all three directions (idempotent)."""
-    grid = f.grid
-    fh = f.to_fourier().values * grid.dealias_mask3
-    if f.representation is Representation.PHYSICAL:
-        return SpectralField3(grid, ifft3(fh, grid))
-    return SpectralField3(grid, fh, Representation.FOURIER)
-
-
-def turning_bias_parts(c: SpatialField2, tau: float):
-    """The four spatial fields that generate the turning bias.
+def turning_bias_parts(c_hat, grid: SpectralGrid, tau: float):
+    """The four spatial fields that generate the turning bias, in physical space.
 
     B(x, theta) = -sin(theta) g1 + cos(theta) g2 + sin(2 theta) s + cos(2 theta) r
-    with g = grad c, s = tau (c22 - c11) / 2, r = tau c12.  Only angular
-    modes +-1 and +-2 ever appear.
+    with g = grad c, s = tau (c22 - c11) / 2, r = tau c12, from the 2-D
+    coefficients ``c_hat``.  Only angular modes +-1 and +-2 ever appear.
+    The gradient zeroes the Nyquist row; the Hessian multipliers are real,
+    so they keep the full Nyquist values and c12 == c21 exactly.
     """
-    g1, g2 = gradient_x(c)
+    g1 = ifft2(grid.ik1_2d * c_hat, grid)
+    g2 = ifft2(grid.ik2_2d * c_hat, grid)
     if tau == 0.0:
-        zero = np.zeros(c.grid.shape_phys2)
-        return g1.values, g2.values, zero, zero
-    c11, c12, c22 = hessian_x(c)
-    s = 0.5 * tau * (c22.values - c11.values)
-    r = tau * c12.values
-    return g1.values, g2.values, s, r
+        zero = np.zeros(grid.shape_phys2)
+        return g1, g2, zero, zero
+    m1 = (2.0 * np.pi * grid.m1.astype(np.float64))[:, None]
+    m2 = (2.0 * np.pi * grid.m2.astype(np.float64))[None, :]
+    c11 = ifft2(-(m1 * m1) * c_hat, grid)
+    c12 = ifft2(-(m1 * m2) * c_hat, grid)
+    c22 = ifft2(-(m2 * m2) * c_hat, grid)
+    return g1, g2, 0.5 * tau * (c22 - c11), tau * c12
 
 
-def turning_bias(c: SpatialField2, tau: float) -> SpectralField3:
-    """Expanded turning bias on the full phase-space grid (physical)."""
-    grid = c.grid
-    g1, g2, s, r = turning_bias_parts(c, tau)
+def expand_bias(parts, grid: SpectralGrid):
+    """The phase-space field -sin(theta) a + cos(theta) b + sin(2 theta) s + cos(2 theta) r.
+
+    With ``parts = (g1, g2, s, r)`` from :func:`turning_bias_parts` this is
+    the turning bias B; with the rotated parts ``(g2, -g1, -2 r, 2 s)`` it
+    is the angular derivative d_theta B.
+    """
+    a, b, s, r = parts
     th = grid.theta
-    values = (
-        -np.sin(th)[None, None, :] * g1[:, :, None]
-        + np.cos(th)[None, None, :] * g2[:, :, None]
+    return (
+        -np.sin(th)[None, None, :] * a[:, :, None]
+        + np.cos(th)[None, None, :] * b[:, :, None]
         + np.sin(2.0 * th)[None, None, :] * s[:, :, None]
         + np.cos(2.0 * th)[None, None, :] * r[:, :, None]
     )
-    return SpectralField3(grid, values)
-
-
-def turning_bias_dtheta(c: SpatialField2, tau: float) -> SpectralField3:
-    """Angular derivative of the turning bias, expanded analytically."""
-    grid = c.grid
-    g1, g2, s, r = turning_bias_parts(c, tau)
-    th = grid.theta
-    values = (
-        -np.cos(th)[None, None, :] * g1[:, :, None]
-        - np.sin(th)[None, None, :] * g2[:, :, None]
-        + 2.0 * np.cos(2.0 * th)[None, None, :] * s[:, :, None]
-        - 2.0 * np.sin(2.0 * th)[None, None, :] * r[:, :, None]
-    )
-    return SpectralField3(grid, values)
 
 
 # --- norms ----------------------------------------------------------------------
@@ -392,33 +261,39 @@ def lp_norm_phys(values, p: float, cell_measure: float) -> float:
 # --- serialization --------------------------------------------------------------
 
 
-def _header(n_x1: int, n_x2: int, n_theta: int, representation: Representation) -> bytes:
-    return _MAGIC + struct.pack(
-        "<5I", _FORMAT_VERSION, n_x1, n_x2, n_theta, representation.value
-    )
+def _field_shape(grid: SpectralGrid, ndim: int, fourier: bool):
+    if ndim == 2:
+        return grid.shape_four2 if fourier else grid.shape_phys2
+    return grid.shape_four3 if fourier else grid.shape_phys3
 
 
-def write_field(path, field) -> None:
-    """Serialize a field (header + row-major little-endian payload).
+def write_field(path, values, grid: SpectralGrid) -> None:
+    """Serialize a 2-D or 3-D field (header + row-major little-endian payload).
 
-    Physical data is stored as float64, Fourier data as interleaved
-    (re, im) float64 pairs.  A 2-D spatial field is marked by n_theta = 0
-    in the header.
+    Physical (real) data is stored as float64 with representation flag 0,
+    Fourier (complex) data as interleaved (re, im) float64 pairs with flag
+    1.  A 2-D spatial field is marked by n_theta = 0 in the header.
     """
-    grid = field.grid
-    n_theta = 0 if isinstance(field, SpatialField2) else grid.n_theta
-    values = np.ascontiguousarray(field.values)
-    if field.representation is Representation.PHYSICAL:
-        payload = values.astype("<f8", copy=False).tobytes()
-    else:
-        payload = values.astype("<c16", copy=False).tobytes()
+    values = np.ascontiguousarray(values)
+    fourier = np.iscomplexobj(values)
+    expected = _field_shape(grid, values.ndim, fourier)
+    if values.shape != expected:
+        raise ValueError(f"field shape {values.shape} does not match grid {expected}")
+    n_theta = 0 if values.ndim == 2 else grid.n_theta
+    header = _MAGIC + struct.pack(
+        "<5I", _FORMAT_VERSION, grid.n_x1, grid.n_x2, n_theta, int(fourier)
+    )
     with open(path, "wb") as fh:
-        fh.write(_header(grid.n_x1, grid.n_x2, n_theta, field.representation))
-        fh.write(payload)
+        fh.write(header)
+        fh.write(values.astype("<c16" if fourier else "<f8", copy=False).tobytes())
 
 
 def read_field(path, grid: SpectralGrid | None = None):
-    """Read a serialized field; validates magic, version, and payload size."""
+    """Read a serialized field as ``(values, grid)``.
+
+    Validates magic, version, representation flag and payload size, and,
+    when ``grid`` is given, that the stored grid matches it.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
@@ -426,10 +301,8 @@ def read_field(path, grid: SpectralGrid | None = None):
     version, n_x1, n_x2, n_theta, rep_flag = struct.unpack("<5I", raw[4:24])
     if version != _FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    try:
-        representation = Representation(rep_flag)
-    except ValueError:
-        raise ValueError(f"{path}: unknown representation flag {rep_flag}") from None
+    if rep_flag not in (0, 1):
+        raise ValueError(f"{path}: unknown representation flag {rep_flag}")
     if grid is None:
         grid = SpectralGrid(n_x1, n_x2, n_theta if n_theta else 8)
     elif (grid.n_x1, grid.n_x2) != (n_x1, n_x2) or (n_theta and grid.n_theta != n_theta):
@@ -437,25 +310,10 @@ def read_field(path, grid: SpectralGrid | None = None):
             f"{path}: stored grid ({n_x1}, {n_x2}, {n_theta}) does not match "
             f"({grid.n_x1}, {grid.n_x2}, {grid.n_theta})"
         )
-    if n_theta == 0:
-        shape = (
-            grid.shape_phys2
-            if representation is Representation.PHYSICAL
-            else grid.shape_four2
-        )
-        cls = SpatialField2
-    else:
-        shape = (
-            grid.shape_phys3
-            if representation is Representation.PHYSICAL
-            else grid.shape_four3
-        )
-        cls = SpectralField3
-    dtype = "<f8" if representation is Representation.PHYSICAL else "<c16"
-    payload = np.frombuffer(raw[24:], dtype=dtype)
+    shape = _field_shape(grid, 2 if n_theta == 0 else 3, rep_flag == 1)
+    payload = np.frombuffer(raw[24:], dtype="<c16" if rep_flag else "<f8")
     if payload.size != int(np.prod(shape)):
         raise ValueError(
             f"{path}: payload has {payload.size} entries, expected {int(np.prod(shape))}"
         )
-    values = payload.reshape(shape).copy()
-    return cls(grid, values, representation)
+    return payload.reshape(shape).copy(), grid

@@ -198,3 +198,22 @@ class TestSimulate:
         assert code == 0
         resumed = json.loads(out)
         assert abs(resumed["t"] - 0.04) < 1e-15
+
+    def test_resume_under_another_grid_is_refused(self, config, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+        finer = tmp_path / "finer.cfg"
+        finer.write_text(CONFIG_TEXT.replace("= 16", "= 32").replace("chi = 4.0", "chi = 9.0"))
+        code, _, err = run_cli(
+            [
+                "simulate", "--t-end", "0.008", "--resume", str(out_dir / "checkpoint"),
+                "--config", str(finer), "--out", str(tmp_path / "resumed"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "(16, 16, 16)" in err and "(32, 32, 32)" in err
+        assert not (tmp_path / "resumed" / "checkpoint").exists()

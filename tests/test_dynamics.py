@@ -7,10 +7,10 @@ from antkinetics.dynamics import (
     PhaseState,
     Scheme,
     StepperConfig,
-    elliptic_chemical_hat,
+    chemical_multipliers,
     fokker_planck_step,
     homogeneous_state,
-    parabolic_chemical_step_hat,
+    marginal_hat,
     read_checkpoint,
     run,
     state_from_density,
@@ -47,7 +47,9 @@ def test_scheme_coercion_and_validation():
 def test_elliptic_chemical_closed_form(grid):
     p = params()
     rho = 1.0 + 0.3 * np.cos(TWO_PI * grid.x1)[:, None] * np.ones(grid.shape_phys2)
-    c = ifft2(elliptic_chemical_hat(fft2(rho), grid, p), grid)
+    decay, solve = chemical_multipliers(grid, p)  # dt = infinity
+    assert not np.any(decay)
+    c = ifft2(solve * fft2(rho), grid)
     expect = 1.0 / p.gamma + 0.3 * np.cos(TWO_PI * grid.x1)[:, None] / (
         p.gamma + p.sigma_c * 4.0 * math.pi**2
     ) * np.ones(grid.shape_phys2)
@@ -61,13 +63,22 @@ def test_parabolic_chemical_exact_relaxation(grid):
     c0 = rng.standard_normal(grid.shape_phys2)
     rho = rng.standard_normal(grid.shape_phys2)
     dt = 0.37
-    c1 = ifft2(parabolic_chemical_step_hat(fft2(c0), fft2(rho), dt, grid, p), grid)
+    decay, gain = chemical_multipliers(grid, p, dt)
+    c1 = ifft2(decay * fft2(c0) + gain * fft2(rho), grid)
     nu = p.gamma + p.sigma_c * np.asarray(grid.ksq_2d)
     c_hat_expect = np.exp(-nu * dt) * fft2(c0) + (1.0 - np.exp(-nu * dt)) / nu * fft2(rho)
     np.testing.assert_allclose(c1, ifft2(c_hat_expect, grid), atol=1e-12)
     # the dt -> infinity limit is the instantaneous solve
-    c_inf = parabolic_chemical_step_hat(fft2(c0), fft2(rho), 1e6, grid, p)
-    np.testing.assert_allclose(c_inf, elliptic_chemical_hat(fft2(rho), grid, p), atol=1e-10)
+    decay, gain = chemical_multipliers(grid, p, 1e6)
+    np.testing.assert_allclose(decay, 0.0, atol=1e-300)
+    np.testing.assert_allclose(gain, chemical_multipliers(grid, p)[1], rtol=1e-15)
+
+
+def test_marginal_is_the_angular_integral(grid):
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(grid.shape_phys3)
+    rho = f.sum(axis=2) * (TWO_PI / grid.n_theta)
+    np.testing.assert_allclose(ifft2(marginal_hat(fft3(f), grid), grid), rho, atol=1e-13)
 
 
 @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])

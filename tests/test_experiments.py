@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from antkinetics.dynamics import write_checkpoint
+from antkinetics import dynamics
+from antkinetics.dynamics import read_checkpoint, write_checkpoint
 from antkinetics.experiments import (
     ExperimentKind,
     build_config,
@@ -314,6 +315,22 @@ class TestRunSimulate:
         ndjson_a = (tmp_path / "a" / "observables.ndjson").read_bytes()
         ndjson_b = (tmp_path / "b" / "observables.ndjson").read_bytes()
         assert ndjson_a == ndjson_b
+
+    @pytest.mark.parametrize("every,expected", [(10, 2), (None, 1)])
+    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch, every, expected):
+        """20 steps write at steps 10 and 20 with every = 10, else once at 20."""
+        written = []
+        write_field = dynamics.write_field
+
+        def counting(path, values, grid):
+            written.append(os.path.basename(path))
+            write_field(path, values, grid)
+
+        monkeypatch.setattr(dynamics, "write_field", counting)
+        cfg = build_config(mapping(seed="6"), ExperimentKind.SIMULATE, out_dir=str(tmp_path))
+        run_simulate(cfg, t_end=0.04, stride=5, checkpoint_every=every)
+        assert written == ["f.field", "c.field"] * expected
+        assert read_checkpoint(tmp_path / "checkpoint").step == 20
 
     def test_resume_from_checkpoint(self, tmp_path):
         out = tmp_path / "first"

@@ -271,14 +271,14 @@ class TestRotations:
         rp = rp_inviscid(2.0)
         mu = find_unstable_root(rp, Coupling.ELLIPTIC).mu0
         pair = inviscid_eigenfunction(rp, mu, (1.0, 0.0), 16)
-        direct = rotated_eigenfunction(pair, grid, 1).values
-        via_field = rotate_field_quarter(eigenfunction_field(pair, grid, 1)).values
+        direct = rotated_eigenfunction(pair, grid, 1)
+        via_field = rotate_field_quarter(eigenfunction_field(pair, grid, 1))
         np.testing.assert_allclose(direct, via_field, atol=1e-12)
         field = eigenfunction_field(pair, grid, 1)
         turned = field
         for _ in range(4):
             turned = rotate_field_quarter(turned)
-        np.testing.assert_allclose(turned.values, field.values, atol=1e-12)
+        np.testing.assert_allclose(turned, field, atol=1e-12)
 
     def test_seed_profiles_scale_parabolic_chemical(self):
         """Parabolic eigenvector: kinetic means w, chemical means w / (mu + nu)."""

@@ -77,14 +77,6 @@ def test_margin_matches_closed_condition(coupling, k):
     assert condition_gap(p, k) == pytest.approx(lhs - rhs, rel=1e-13)
 
 
-def test_condition_gap_pi_variants_differ():
-    p = base_params()
-    assert condition_gap(p, 2, pi_squared=True) != condition_gap(p, 2, pi_squared=False)
-    # the 4 pi variant replaces 4 pi^2 sigma_c k^2 in the right-hand side
-    expect = p.chi * (TWO_PI * 2 * p.tau + 1.0) - p.lam * (p.gamma + 4.0 * math.pi * p.sigma_c * 4)
-    assert condition_gap(p, 2, pi_squared=False) == pytest.approx(expect, rel=1e-13)
-
-
 def test_margin_rejects_zero_drift():
     with pytest.raises(ValueError):
         instability_margin(base_params(lam=0.0), 1)

@@ -1,27 +1,21 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from antkinetics.spectral import (
-    Representation,
-    SpatialField2,
-    SpectralField3,
     SpectralGrid,
-    d_theta,
-    dealias,
+    expand_bias,
     fft2,
     fft3,
-    gradient_x,
-    hessian_x,
     ifft2,
     ifft3,
     l2_norm2_hat,
     l2_norm3_hat,
     lp_norm_phys,
     read_field,
-    turning_bias,
-    turning_bias_dtheta,
+    turning_bias_parts,
     write_field,
 )
 
@@ -63,34 +57,34 @@ def test_gradient_matches_analytic(grid):
     x1 = grid.x1[:, None]
     x2 = grid.x2[None, :]
     c = np.sin(TWO_PI * 2 * x1) * np.cos(TWO_PI * 3 * x2) + 0.5 * np.cos(TWO_PI * x2)
-    g1, g2 = gradient_x(SpatialField2(grid, c))
+    g1, g2, s, r = turning_bias_parts(fft2(c), grid, 0.0)
     d1 = TWO_PI * 2 * np.cos(TWO_PI * 2 * x1) * np.cos(TWO_PI * 3 * x2)
     d2 = (-TWO_PI * 3) * np.sin(TWO_PI * 2 * x1) * np.sin(TWO_PI * 3 * x2) - (
         0.5 * TWO_PI
     ) * np.sin(TWO_PI * x2)
-    np.testing.assert_allclose(g1.to_physical().values, d1 + 0.0 * c, atol=1e-10)
-    np.testing.assert_allclose(g2.to_physical().values, d2, atol=1e-10)
+    np.testing.assert_allclose(g1, d1 + 0.0 * c, atol=1e-10)
+    np.testing.assert_allclose(g2, d2, atol=1e-10)
+    assert not np.any(s) and not np.any(r)  # tau = 0 has no curvature parts
 
 
 def test_hessian_matches_analytic_and_is_symmetric(grid):
+    """The curvature parts s = tau (c22 - c11) / 2 and r = tau c12."""
     x1 = grid.x1[:, None]
     x2 = grid.x2[None, :]
     c = np.cos(TWO_PI * x1) * np.sin(TWO_PI * 2 * x2)
-    c11, c12, c22 = hessian_x(SpatialField2(grid, c))
-    np.testing.assert_allclose(
-        c11.to_physical().values, -(TWO_PI**2) * c, atol=1e-9
-    )
-    np.testing.assert_allclose(
-        c22.to_physical().values, -((TWO_PI * 2) ** 2) * c, atol=1e-9
-    )
+    tau = 0.3
+    _, _, s, r = turning_bias_parts(fft2(c), grid, tau)
+    c11 = -(TWO_PI**2) * c
+    c22 = -((TWO_PI * 2) ** 2) * c
+    np.testing.assert_allclose(s, 0.5 * tau * (c22 - c11), atol=1e-9)
     d12 = -(TWO_PI) * (TWO_PI * 2) * np.sin(TWO_PI * x1) * np.cos(TWO_PI * 2 * x2)
-    np.testing.assert_allclose(c12.to_physical().values, d12, atol=1e-9)
+    np.testing.assert_allclose(r, tau * d12, atol=1e-9)
 
 
 def test_d_theta_analytic(grid):
     theta = grid.theta[None, None, :]
     f = np.broadcast_to(np.cos(3.0 * theta), grid.shape_phys3).copy()
-    df = d_theta(SpectralField3(grid, f)).to_physical().values
+    df = ifft3(grid.in_3d * fft3(f), grid)
     np.testing.assert_allclose(df, -3.0 * np.sin(3.0 * theta) + 0.0 * f, atol=1e-11)
 
 
@@ -98,8 +92,10 @@ def test_nyquist_mode_has_zero_odd_derivative():
     grid = SpectralGrid(8, 8, 8)
     x1 = grid.x1[:, None]
     c = np.cos(TWO_PI * 4 * x1) * np.ones(grid.shape_phys2)  # pure Nyquist content
-    g1, _ = gradient_x(SpatialField2(grid, c))
-    np.testing.assert_allclose(g1.to_physical().values, 0.0, atol=1e-12)
+    g1, _, s, _ = turning_bias_parts(fft2(c), grid, 1.0)
+    np.testing.assert_allclose(g1, 0.0, atol=1e-12)
+    # the even-order Hessian keeps the full Nyquist value: c11 = -(2 pi 4)^2 c
+    np.testing.assert_allclose(s, 0.5 * (TWO_PI * 4) ** 2 * c, atol=1e-9)
 
 
 def test_parseval_identities(grid):
@@ -120,11 +116,10 @@ def test_lp_norm_against_constant(grid):
 
 def test_dealias_band_and_idempotence(grid):
     rng = np.random.default_rng(2)
-    f = SpectralField3(grid, fft3(rng.standard_normal(grid.shape_phys3)),
-                       Representation.FOURIER)
-    once = dealias(f).to_fourier().values
-    twice = dealias(dealias(f)).to_fourier().values
-    np.testing.assert_allclose(once, twice, atol=1e-13)
+    f_hat = fft3(rng.standard_normal(grid.shape_phys3))
+    once = f_hat * grid.dealias_mask3
+    twice = once * grid.dealias_mask3
+    np.testing.assert_array_equal(once, twice)
     # content strictly outside the band is removed
     kept1 = np.abs(grid.m1) <= grid.n_x1 // 3
     kept2 = grid.m2 <= grid.n_x2 // 3
@@ -141,7 +136,7 @@ def test_turning_bias_analytic(tau):
     x1 = grid.x1[:, None]
     x2 = grid.x2[None, :]
     c = np.cos(TWO_PI * x1) + np.sin(TWO_PI * x2) + 0.0 * (x1 * x2)
-    bias = turning_bias(SpatialField2(grid, c), tau).to_physical().values
+    bias = expand_bias(turning_bias_parts(fft2(c), grid, tau), grid)
 
     th = grid.theta[None, None, :]
     d1 = -TWO_PI * np.sin(TWO_PI * x1)
@@ -157,56 +152,72 @@ def test_turning_bias_analytic(tau):
 
 
 def test_turning_bias_dtheta_matches_spectral_derivative():
+    """The rotated parts (g2, -g1, -2 r, 2 s) expand to d_theta B."""
     grid = SpectralGrid(16, 16, 16)
     rng = np.random.default_rng(3)
     c_hat = fft2(rng.standard_normal(grid.shape_phys2))
     c_hat *= grid.dealias_mask2
-    c = SpatialField2(grid, c_hat, Representation.FOURIER)
-    b = turning_bias(c, 0.4)
-    db_direct = turning_bias_dtheta(c, 0.4).to_physical().values
-    db_spectral = d_theta(b).to_physical().values
+    g1, g2, s, r = turning_bias_parts(c_hat, grid, 0.4)
+    b = expand_bias((g1, g2, s, r), grid)
+    db_direct = expand_bias((g2, -g1, -2.0 * r, 2.0 * s), grid)
+    db_spectral = ifft3(grid.in_3d * fft3(b), grid)
     np.testing.assert_allclose(db_direct, db_spectral, atol=1e-9)
 
 
-def test_field_shape_validation(grid):
-    with pytest.raises(ValueError):
-        SpectralField3(grid, np.zeros((3, 3, 3)))
-    with pytest.raises(ValueError):
-        SpatialField2(grid, np.zeros((5, 5)))
+def test_field_shape_validation(grid, tmp_path):
+    """A field is written only with the shape its grid and dtype imply."""
+    with pytest.raises(ValueError, match="shape"):
+        write_field(tmp_path / "f.field", np.zeros((3, 3, 3)), grid)
+    with pytest.raises(ValueError, match="shape"):
+        write_field(tmp_path / "c.field", np.zeros(grid.shape_phys2, dtype=complex), grid)
 
 
 class TestSerialization:
     def test_roundtrip_3d_physical(self, grid, tmp_path):
         rng = np.random.default_rng(4)
-        field = SpectralField3(grid, rng.standard_normal(grid.shape_phys3))
+        values = rng.standard_normal(grid.shape_phys3)
         path = tmp_path / "f.field"
-        write_field(path, field)
-        back = read_field(path)
-        assert back.representation is Representation.PHYSICAL
-        np.testing.assert_array_equal(back.values, field.values)
+        write_field(path, values, grid)
+        back, back_grid = read_field(path)
+        assert back.dtype == np.float64
+        assert back_grid == grid
+        np.testing.assert_array_equal(back, values)
 
     def test_roundtrip_3d_fourier_bit_exact(self, grid, tmp_path):
         rng = np.random.default_rng(5)
-        field = SpectralField3(grid, fft3(rng.standard_normal(grid.shape_phys3)),
-                               Representation.FOURIER)
+        values = fft3(rng.standard_normal(grid.shape_phys3))
         path = tmp_path / "f.field"
-        write_field(path, field)
-        back = read_field(path, grid=grid)
-        assert back.representation is Representation.FOURIER
-        assert np.array_equal(back.values, field.values)
+        write_field(path, values, grid)
+        back, _ = read_field(path, grid=grid)
+        assert back.dtype == np.complex128
+        assert np.array_equal(back, values)
 
     def test_roundtrip_2d(self, grid, tmp_path):
         rng = np.random.default_rng(6)
-        field = SpatialField2(grid, rng.standard_normal(grid.shape_phys2))
+        values = rng.standard_normal(grid.shape_phys2)
         path = tmp_path / "c.field"
-        write_field(path, field)
-        back = read_field(path, grid=grid)
-        assert isinstance(back, SpatialField2)
-        np.testing.assert_array_equal(back.values, field.values)
+        write_field(path, values, grid)
+        back, _ = read_field(path, grid=grid)
+        assert back.shape == grid.shape_phys2
+        np.testing.assert_array_equal(back, values)
+
+    def test_version_1_layout(self, grid, tmp_path):
+        """Magic, five little-endian uint32 (version, n_x1, n_x2, n_theta or 0
+        for 2-D, representation 0 physical / 1 Fourier), then the payload."""
+        rng = np.random.default_rng(7)
+        c_hat = fft2(rng.standard_normal(grid.shape_phys2))
+        path = tmp_path / "c.field"
+        write_field(path, c_hat, grid)
+        header = b"ANTK" + struct.pack("<5I", 1, grid.n_x1, grid.n_x2, 0, 1)
+        assert path.read_bytes() == header + c_hat.astype("<c16").tobytes()
+        f = rng.standard_normal(grid.shape_phys3)
+        write_field(path, f, grid)
+        header = b"ANTK" + struct.pack("<5I", 1, grid.n_x1, grid.n_x2, grid.n_theta, 0)
+        assert path.read_bytes() == header + f.astype("<f8").tobytes()
 
     def test_bad_magic_rejected(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, SpectralField3(grid, np.zeros(grid.shape_phys3)))
+        write_field(path, np.zeros(grid.shape_phys3), grid)
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
@@ -215,13 +226,13 @@ class TestSerialization:
 
     def test_truncated_payload_rejected(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, SpectralField3(grid, np.zeros(grid.shape_phys3)))
+        write_field(path, np.zeros(grid.shape_phys3), grid)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError):
             read_field(path)
 
     def test_grid_mismatch_rejected(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, SpectralField3(grid, np.zeros(grid.shape_phys3)))
-        with pytest.raises(ValueError):
+        write_field(path, np.zeros(grid.shape_phys3), grid)
+        with pytest.raises(ValueError, match="does not match"):
             read_field(path, grid=SpectralGrid(8, 8, 8))
