@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_global_flags(p, suppress=True)
         return p
 
-    p = add_parser("simulate", help="integrate the kinetic system and stream observables")
+    p = add_parser("simulate", help="integrate the kinetic system and record observables")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--stride", type=int, default=10)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.signal
@@ -258,21 +258,32 @@ def fit_exponential_rate(times, values, window=None) -> ExponentialFit:
 
 # --- output formats -------------------------------------------------------------
 
+RECORD_FIELDS = tuple(f.name for f in fields(ObservableRecord))
+
+# the CSV spreads lp_rho over one column per order
+CSV_COLUMNS = tuple(
+    column
+    for name in RECORD_FIELDS
+    for column in ([f"{name}_{p}" for p in LP_ORDERS] if name == "lp_rho" else [name])
+)
+
 
 def record_to_dict(record: ObservableRecord) -> dict:
-    return {
-        "t": record.t,
-        "mass": record.mass,
-        "min_f": record.min_f,
-        "l2_f_dev": record.l2_f_dev,
-        "lp_rho": {str(p): record.lp_rho[p] for p in sorted(record.lp_rho)},
-        "h1_f": record.h1_f,
-        "grad_c_l2": record.grad_c_l2,
-        "hess_c_l2": record.hess_c_l2,
-        "dissipation_residual": record.dissipation_residual,
-        "dominant_k": record.dominant_k,
-        "trail_count": record.trail_count,
-    }
+    """The record's fields in declaration order; ``lp_rho`` keys become strings."""
+    out = {name: getattr(record, name) for name in RECORD_FIELDS}
+    out["lp_rho"] = {str(p): record.lp_rho[p] for p in sorted(record.lp_rho)}
+    return out
+
+
+def _csv_row(record: ObservableRecord) -> dict:
+    row = record_to_dict(record)
+    row.update((f"lp_rho_{p}", value) for p, value in row.pop("lp_rho").items())
+    return row
+
+
+def record_is_finite(record: ObservableRecord) -> bool:
+    """False when any value overflowed; a missing residual counts as finite."""
+    return all(value is None or math.isfinite(value) for value in _csv_row(record).values())
 
 
 def write_ndjson(path, records) -> None:
@@ -281,52 +292,18 @@ def write_ndjson(path, records) -> None:
             fh.write(json.dumps(record_to_dict(record), allow_nan=False) + "\n")
 
 
-def read_ndjson(path) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
-CSV_COLUMNS = (
-    "t",
-    "mass",
-    "min_f",
-    "l2_f_dev",
-    "lp_rho_1",
-    "lp_rho_2",
-    "lp_rho_6",
-    "h1_f",
-    "grad_c_l2",
-    "hess_c_l2",
-    "dissipation_residual",
-    "dominant_k",
-    "trail_count",
-)
+def write_table(path, columns, rows) -> None:
+    """CSV with a header row; ``rows`` are dicts, written as floats by ``repr``
+    and ``None`` or a missing column as an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(
+                "" if value is None else repr(value) if isinstance(value, float) else value
+                for value in map(row.get, columns)
+            )
 
 
 def write_records_csv(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(
-                [
-                    repr(record.t),
-                    repr(record.mass),
-                    repr(record.min_f),
-                    repr(record.l2_f_dev),
-                    repr(record.lp_rho[1]),
-                    repr(record.lp_rho[2]),
-                    repr(record.lp_rho[6]),
-                    repr(record.h1_f),
-                    repr(record.grad_c_l2),
-                    repr(record.hess_c_l2),
-                    "" if record.dissipation_residual is None else repr(record.dissipation_residual),
-                    record.dominant_k,
-                    record.trail_count,
-                ]
-            )
+    write_table(path, CSV_COLUMNS, map(_csv_row, records))

@@ -24,13 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import Coupling, ModelParams
+from .params import Coupling, ModelParams, load_config
 from .spectral import (
     SpectralGrid,
     expand_bias,
     fft2,
     fft3,
-    ifft2,
     ifft3,
     read_field,
     turning_bias_parts,
@@ -93,9 +92,6 @@ class PhaseState:
 
     def f_physical(self) -> np.ndarray:
         return ifft3(self.f_hat, self.grid)
-
-    def c_physical(self) -> np.ndarray:
-        return ifft2(self.c_hat, self.grid)
 
     def mass(self) -> float:
         return float(self.f_hat[0, 0, 0].real) * self.grid.cell_volume
@@ -422,22 +418,22 @@ def write_checkpoint(directory, state: PhaseState, config_digest: str = "") -> N
 def read_checkpoint(
     directory, expected_config_digest: str | None = None, grid: SpectralGrid | None = None
 ) -> PhaseState:
-    """Inverse of :func:`write_checkpoint`; rejects a foreign config digest
-    and, when ``grid`` is given, a checkpoint stored on another grid."""
-    meta = {}
-    with open(os.path.join(directory, "checkpoint.txt"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, value = line.partition("=")
-                meta[key.strip()] = value.strip()
-    if expected_config_digest is not None and meta.get("config_hash") not in ("", None):
-        if meta["config_hash"] != expected_config_digest:
-            raise ValueError(
-                "checkpoint was produced under a different configuration "
-                f"(hash {meta['config_hash']} != {expected_config_digest})"
-            )
+    """Inverse of :func:`write_checkpoint`.
+
+    ``checkpoint.txt`` is read as a ``key = value`` config.  When ``grid``
+    is given, a checkpoint stored on another grid is rejected; then, when
+    ``expected_config_digest`` is given, one stamped with another digest
+    (an empty stamp is accepted).
+    """
+    meta = load_config(os.path.join(directory, "checkpoint.txt"))
     f_hat, grid = read_field(os.path.join(directory, "f.field"), grid)
     c_hat, _ = read_field(os.path.join(directory, "c.field"), grid)
+    stamp = meta.get("config_hash", "")
+    if expected_config_digest is not None and stamp not in ("", expected_config_digest):
+        raise ValueError(
+            "checkpoint was produced under a different configuration "
+            f"(hash {stamp} != {expected_config_digest})"
+        )
     return PhaseState(
         grid=grid,
         f_hat=f_hat,

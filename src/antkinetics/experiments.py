@@ -2,18 +2,20 @@
 
 Every experiment resolves a flat key = value configuration, runs from a
 fixed RNG seed, and emits a text manifest (config hash, code version,
-seed) plus NDJSON observable streams or CSV tables, so reruns with the
-same inputs reproduce outputs bit for bit.
+seed) plus a CSV table and, for some experiments, a JSON result or an
+NDJSON observable stream, so reruns with the same inputs reproduce
+outputs bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +23,10 @@ from . import __version__
 from .diagnostics import (
     ObservableCollector,
     fit_exponential_rate,
+    record_is_finite,
     write_ndjson,
     write_records_csv,
+    write_table,
 )
 from .dynamics import (
     PhaseState,
@@ -75,7 +79,23 @@ class ExperimentConfig:
     out_dir: str | None = None
     seed: int = 0
     threads: int = 1
-    options: dict = field(default_factory=dict)
+
+    @property
+    def digest(self) -> str:
+        """sha256 of the resolved values that fix a trajectory: the model
+        parameters, the grid, dt, scheme and dealias.  The seed, the thread
+        count, the initial-data knobs and the monitor tolerances are left out."""
+        grid, stepper = self.grid, self.stepper
+        return config_hash(
+            dict(
+                self.params.as_dict(),
+                coupling=self.params.coupling.value,
+                grid=f"{grid.n_x1} {grid.n_x2} {grid.n_theta}",
+                dt=float(stepper.dt),
+                scheme=stepper.scheme.value,
+                dealias=stepper.dealias,
+            )
+        )
 
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -141,24 +161,42 @@ def build_config(
     )
 
 
-def write_manifest(out_dir, mapping: dict, seed: int, extra: dict | None = None) -> str:
-    """Text manifest sufficient to reproduce the run; returns the config hash."""
-    os.makedirs(out_dir, exist_ok=True)
-    digest = config_hash(mapping)
+def write_manifest(cfg: ExperimentConfig) -> None:
+    """Text manifest in ``cfg.out_dir`` sufficient to reproduce the run."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
     lines = [
         f"code_version = {__version__}",
-        f"config_hash = {digest}",
-        f"rng_seed = {seed}",
+        f"config_hash = {cfg.digest}",
+        f"rng_seed = {cfg.seed}",
+        f"kind = {cfg.kind.value}",
+        "",
+        "# resolved configuration",
     ]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
-    lines.append("")
-    lines.append("# resolved configuration")
-    for key in sorted(mapping):
-        lines.append(f"{key} = {mapping[key]}")
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
+    lines += [f"{key} = {cfg.mapping[key]}" for key in sorted(cfg.mapping)]
+    with open(os.path.join(cfg.out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    return digest
+
+
+def write_outputs(cfg: ExperimentConfig, name: str, columns, rows, result=None) -> None:
+    """Every experiment's output files; writes nothing without ``cfg.out_dir``.
+
+    Writes the manifest, ``<name>.csv`` from ``columns`` and the dict
+    ``rows``, and ``result`` as ``<name>.json`` when given.  With
+    ``columns=None`` the rows are observable records, written to
+    ``<name>.ndjson`` and ``<name>.csv``.
+    """
+    if not cfg.out_dir:
+        return
+    write_manifest(cfg)
+    stem = os.path.join(cfg.out_dir, name)
+    if columns is None:
+        write_ndjson(stem + ".ndjson", rows)
+        write_records_csv(stem + ".csv", rows)
+    else:
+        write_table(stem + ".csv", columns, rows)
+    if result is not None:
+        with open(stem + ".json", "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2)
 
 
 # --- initial data ------------------------------------------------------------------
@@ -332,15 +370,8 @@ def run_eigen(
         for spectrum in spectra
     ]
     persistent = all(row["rightmost_re"] > 0.0 for row in rows)
-    result = {"k": k, "rows": rows, "persistent": persistent}
-    if cfg.out_dir:
-        write_manifest(cfg.out_dir, cfg.mapping, cfg.seed, {"kind": cfg.kind.value})
-        _write_csv(
-            os.path.join(cfg.out_dir, "eigen.csv"),
-            ("sigma", "rightmost_re", "rightmost_im", "multiplicity"),
-            rows,
-        )
-    return result
+    write_outputs(cfg, "eigen", ("sigma", "rightmost_re", "rightmost_im", "multiplicity"), rows)
+    return {"k": k, "rows": rows, "persistent": persistent}
 
 
 def _scan_row(args):
@@ -383,44 +414,23 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
     else:
         rows = [_scan_row(job) for job in jobs]
     rows.sort(key=lambda row: row["k"])
-    ok = all(row["consistent"] for row in rows)
-    result = {"rows": rows, "ok": ok}
-    if cfg.out_dir:
-        write_manifest(cfg.out_dir, cfg.mapping, cfg.seed, {"kind": cfg.kind.value})
-        _write_csv(
-            os.path.join(cfg.out_dir, "scan.csv"),
-            (
-                "k",
-                "margin",
-                "condition_gap_4pi2",
-                "mu0",
-                "viscous_rightmost_re",
-                "viscous_rightmost_im",
-                "multiplicity",
-                "consistent",
-                "error",
-            ),
-            rows,
-        )
-    return result
-
-
-def _write_csv(path, columns, rows) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            out = []
-            for col in columns:
-                value = row.get(col, "")
-                if value is None:
-                    value = ""
-                elif isinstance(value, float):
-                    value = repr(value)
-                out.append(value)
-            writer.writerow(out)
+    write_outputs(
+        cfg,
+        "scan",
+        (
+            "k",
+            "margin",
+            "condition_gap_4pi2",
+            "mu0",
+            "viscous_rightmost_re",
+            "viscous_rightmost_im",
+            "multiplicity",
+            "consistent",
+            "error",
+        ),
+        rows,
+    )
+    return {"rows": rows, "ok": all(row["consistent"] for row in rows)}
 
 
 # --- growth match -------------------------------------------------------------------
@@ -515,15 +525,13 @@ def run_growth_match(
         "seeds": table,
         "ok": ok,
     }
-    if cfg.out_dir:
-        write_manifest(cfg.out_dir, cfg.mapping, cfg.seed, {"kind": cfg.kind.value})
-        _write_csv(
-            os.path.join(cfg.out_dir, "growth_match.csv"),
-            ("seed", "rate", "r2", "relative_error", "n_samples", "mass_err", "min_f"),
-            table,
-        )
-        with open(os.path.join(cfg.out_dir, "growth_match.json"), "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+    write_outputs(
+        cfg,
+        "growth_match",
+        ("seed", "rate", "r2", "relative_error", "n_samples", "mass_err", "min_f"),
+        table,
+        result,
+    )
     return result
 
 
@@ -606,15 +614,13 @@ def run_stability_sweep(
         "inviscid_threshold_chi": chi_star,
         "threshold_ok": threshold is None or threshold <= chi_star * (1.0 + 1.0e-9),
     }
-    if cfg.out_dir:
-        write_manifest(cfg.out_dir, cfg.mapping, cfg.seed, {"kind": cfg.kind.value})
-        _write_csv(
-            os.path.join(cfg.out_dir, "stability_sweep.csv"),
-            ("chi", "rate", "r2", "t_stop", "mass_err", "min_f", "error"),
-            rows,
-        )
-        with open(os.path.join(cfg.out_dir, "stability_sweep.json"), "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+    write_outputs(
+        cfg,
+        "stability_sweep",
+        ("chi", "rate", "r2", "t_stop", "mass_err", "min_f", "error"),
+        rows,
+        result,
+    )
     return result
 
 
@@ -626,7 +632,8 @@ def initial_state(cfg: ExperimentConfig, init: str = "random") -> PhaseState:
 
     ``random`` (band-limited perturbation, seeded), ``homogeneous``,
     ``bump:<l6>`` (angle-independent bump with that L^6 marginal norm), or
-    ``checkpoint:<dir>``.
+    ``checkpoint:<dir>``, which is refused when stored on another grid or
+    stamped with another config digest.
     """
     params, grid = cfg.params, cfg.grid
     if init == "homogeneous":
@@ -641,7 +648,7 @@ def initial_state(cfg: ExperimentConfig, init: str = "random") -> PhaseState:
         f = np.repeat(rho[:, :, None], grid.n_theta, axis=2) / TWO_PI
         return state_from_density(grid, params, f)
     if init.startswith("checkpoint:"):
-        return read_checkpoint(init.split(":", 1)[1], grid=grid)
+        return read_checkpoint(init.split(":", 1)[1], cfg.digest, grid=grid)
     raise ValueError(f"unknown initial condition {init!r}")
 
 
@@ -652,27 +659,35 @@ def run_simulate(
     init: str = "random",
     checkpoint_every: int | None = None,
 ) -> dict:
-    """Integrate and stream observables; writes NDJSON plus a final checkpoint."""
+    """Integrate and sample observables, plus a final checkpoint.
+
+    The samples are written as NDJSON and CSV when the run ends.  When the
+    run fails, the samples up to the first one holding a non-finite value
+    are written before the error propagates.
+    """
     state = initial_state(cfg, init)
     collector = ObservableCollector(cfg.params)
-    digest = config_hash(cfg.mapping)
     checkpoint_dir = os.path.join(cfg.out_dir, "checkpoint") if cfg.out_dir else None
-    result = run(
-        state,
-        cfg.stepper,
-        cfg.params,
-        t_end,
-        observers=(collector,),
-        stride=stride,
-        include_initial=state.step == 0,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        config_digest=digest,
-    )
-    if cfg.out_dir:
-        write_manifest(cfg.out_dir, cfg.mapping, cfg.seed, {"kind": cfg.kind.value})
-        write_ndjson(os.path.join(cfg.out_dir, "observables.ndjson"), collector.records)
-        write_records_csv(os.path.join(cfg.out_dir, "observables.csv"), collector.records)
+    try:
+        result = run(
+            state,
+            cfg.stepper,
+            cfg.params,
+            t_end,
+            observers=(collector,),
+            stride=stride,
+            include_initial=state.step == 0,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            config_digest=cfg.digest,
+        )
+    except BaseException:
+        # the samples leading into a blow-up overflow; strict JSON cannot hold them
+        clean = list(itertools.takewhile(record_is_finite, collector.records))
+        if clean:
+            write_outputs(cfg, "observables", None, clean)
+        raise
+    write_outputs(cfg, "observables", None, collector.records)
     final = collector.records[-1]
     return {
         "t": result.state.t,

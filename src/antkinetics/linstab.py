@@ -146,22 +146,11 @@ def find_unstable_root(rp: ReducedParams, coupling: Coupling):
 
 @dataclass(frozen=True)
 class ThetaProfilePair:
-    """Angular profiles (a, b) sampled on a uniform theta grid.
-
-    ``a_mean`` and ``b_mean`` cache the integrals over [0, 2 pi].
-    """
+    """Angular profiles (a, b) sampled on a uniform theta grid."""
 
     theta: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-    @property
-    def a_mean(self) -> float:
-        return float(np.mean(self.a) * TWO_PI)
-
-    @property
-    def b_mean(self) -> float:
-        return float(np.mean(self.b) * TWO_PI)
 
 
 def _bias_matrix_times(tau_breve: float, theta: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:

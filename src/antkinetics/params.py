@@ -171,10 +171,6 @@ def instability_margin(params: ModelParams, k: int) -> float:
     return rp.chi_breve * TWO_PI * (rp.tau_breve + 1.0) / rp.lambda_breve - 1.0
 
 
-def is_unstable(params: ModelParams, k: int) -> bool:
-    return instability_margin(params, k) > 0.0
-
-
 def condition_gap(params: ModelParams, k: int) -> float:
     """Algebraic form of the instability condition, as a signed gap.
 
@@ -253,6 +249,6 @@ def model_params_from_mapping(mapping: Mapping) -> ModelParams:
 
 
 def config_hash(mapping: Mapping) -> str:
-    """Order-independent sha256 of a flat config mapping."""
+    """Order-independent sha256 of a flat mapping, over its ``key = value`` lines."""
     canon = "".join(f"{key} = {mapping[key]}\n" for key in sorted(mapping))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()

@@ -168,12 +168,6 @@ class SpectralGrid:
         keepn = np.abs(self.n_modes) <= self.n_theta // 3
         return keep1[:, None, None] & keep2[None, :, None] & keepn[None, None, :]
 
-    @cached_property
-    def dealias_mask2(self):
-        keep1 = np.abs(self.m1) <= self.n_x1 // 3
-        keep2 = np.abs(self.m2) <= self.n_x2 // 3
-        return keep1[:, None] & keep2[None, :]
-
 
 # --- raw transforms -------------------------------------------------------------
 
@@ -245,12 +239,6 @@ def l2_norm3_hat(f_hat, grid: SpectralGrid) -> float:
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
     s = np.sum(grid.half_weights[None, :, None] * np.abs(f_hat) ** 2)
     return float(np.sqrt(TWO_PI * s) / n_tot)
-
-
-def l2_norm2_hat(c_hat, grid: SpectralGrid) -> float:
-    n_tot = grid.n_x1 * grid.n_x2
-    s = np.sum(grid.half_weights[None, :] * np.abs(c_hat) ** 2)
-    return float(np.sqrt(s) / n_tot)
 
 
 def lp_norm_phys(values, p: float, cell_measure: float) -> float:

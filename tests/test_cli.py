@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (exit codes, JSON output)."""
 
 import json
+import re
 
 import pytest
 
@@ -217,3 +218,68 @@ class TestSimulate:
         assert code == 1
         assert "(16, 16, 16)" in err and "(32, 32, 32)" in err
         assert not (tmp_path / "resumed" / "checkpoint").exists()
+
+    def test_resume_under_another_model_is_refused(self, config, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+        stored = config_hash_of(out_dir / "manifest.txt")
+        stronger = tmp_path / "stronger.cfg"
+        stronger.write_text(CONFIG_TEXT.replace("chi = 4.0", "chi = 9.0"))
+        code, _, err = run_cli(
+            [
+                "simulate", "--t-end", "0.008", "--resume", str(out_dir / "checkpoint"),
+                "--config", str(stronger), "--out", str(tmp_path / "resumed"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        hashes = re.findall(r"\b[0-9a-f]{64}\b", err)
+        assert len(hashes) == 2 and hashes[0] == stored and hashes[1] != stored
+        assert not (tmp_path / "resumed").exists()
+
+    def test_equal_values_hash_alike(self, config, tmp_path, capsys):
+        """chi = 4 and chi = 4.0 are one model, and the seed is not hashed."""
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+        integer = tmp_path / "integer.cfg"
+        integer.write_text(CONFIG_TEXT.replace("chi = 4.0", "chi = 4"))
+        code, _, _ = run_cli(
+            [
+                "simulate", "--t-end", "0.008", "--resume", str(out_dir / "checkpoint"),
+                "--config", str(integer), "--out", str(tmp_path / "resumed"), "--rng-seed", "9",
+            ],
+            capsys,
+        )
+        assert code == 0
+        resumed = config_hash_of(tmp_path / "resumed" / "manifest.txt")
+        assert resumed == config_hash_of(out_dir / "manifest.txt")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_keeps_the_samples(self, tmp_path, capsys):
+        """A failed run writes its samples up to the first non-finite one."""
+        unstable = tmp_path / "unstable.cfg"
+        unstable.write_text(CONFIG_TEXT.replace("chi = 4.0", "chi = 400"))
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            [
+                "simulate", "--t-end", "2.0", "--dt", "0.2", "--stride", "1",
+                "--config", str(unstable), "--out", str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 1 and "non-finite" in err
+        lines = (out_dir / "observables.ndjson").read_text().splitlines()
+        assert [json.loads(line)["t"] for line in lines] == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])
+        assert len((out_dir / "observables.csv").read_text().splitlines()) == 1 + len(lines)
+        assert config_hash_of(out_dir / "manifest.txt")
+
+
+def config_hash_of(manifest):
+    match = re.search(r"^config_hash = (\w+)$", manifest.read_text(), re.MULTILINE)
+    return match.group(1)

@@ -1,5 +1,6 @@
 """Tests for observables, rate fits, and the energy-balance residual."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from antkinetics.diagnostics import (
     dissipation_residual,
     dominant_wavenumber,
     fit_exponential_rate,
-    read_ndjson,
     record_to_dict,
     write_ndjson,
     write_records_csv,
@@ -246,7 +246,7 @@ class TestSerialization:
         records = self.sample_records(grid)
         path = tmp_path / "observables.ndjson"
         write_ndjson(path, records)
-        loaded = read_ndjson(path)
+        loaded = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(loaded) == len(records)
         for rec, row in zip(records, loaded):
             assert row == record_to_dict(rec)

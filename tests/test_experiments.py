@@ -80,12 +80,13 @@ class TestBuildConfig:
 
 class TestManifest:
     def test_contents_and_determinism(self, tmp_path):
-        m = mapping(seed="3")
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        digest = write_manifest(d1, m, 3, {"kind": "simulate"})
-        write_manifest(d2, m, 3, {"kind": "simulate"})
+        cfg = build_config(mapping(seed="3"), ExperimentKind.SIMULATE, out_dir=str(d1))
+        write_manifest(cfg)
+        cfg.out_dir = str(d2)
+        write_manifest(cfg)
         text = (d1 / "manifest.txt").read_text()
-        assert f"config_hash = {digest}" in text
+        assert f"config_hash = {cfg.digest}" in text
         assert "rng_seed = 3" in text
         assert "kind = simulate" in text
         assert "sigma_theta = 0.25" in text

@@ -9,7 +9,6 @@ from antkinetics.params import (
     config_hash,
     instability_margin,
     inviscid_threshold_chi,
-    is_unstable,
     model_params_from_mapping,
     most_unstable_k,
     parse_config_text,
@@ -73,7 +72,6 @@ def test_margin_matches_closed_condition(coupling, k):
     rhs = p.lam * (p.gamma + 4.0 * math.pi**2 * p.sigma_c * k**2)
     assert (instability_margin(p, k) > 0.0) == (lhs > rhs)
     assert instability_margin(p, k) == pytest.approx(lhs / rhs - 1.0, rel=1e-13)
-    assert is_unstable(p, k) == (lhs > rhs)
     assert condition_gap(p, k) == pytest.approx(lhs - rhs, rel=1e-13)
 
 
