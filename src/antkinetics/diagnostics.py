@@ -7,6 +7,13 @@ The residual checks the exact identity
 
 satisfied by smooth solutions; on a discrete trajectory it decays at the
 scheme's formal order.
+
+Each sample is observed once: :func:`compute_observables` forms |f_hat|^2
+and the physical f once, and derives from them both the written observables
+and the sample's three balance terms (int f^2, the dissipation sum and the
+turning integral), which its record carries but does not write.  A sample's
+residual combines its own terms with its neighbours' energies, so the
+collector back-fills it once the next sample is taken and keeps no state.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.signal
@@ -41,24 +48,19 @@ class ObservableRecord:
     dissipation_residual: float | None
     dominant_k: int
     trail_count: int
+    # (int f^2, dissipation sum, turning integral) of the energy balance
+    balance_terms: tuple = field(metadata={"written": False})
 
 
-def _weighted_mode_energy(f_hat, grid):
-    """Half-axis-weighted |coefficient|^2 summed over angular modes."""
-    return np.sum(
-        grid.half_weights[None, :, None] * np.abs(f_hat) ** 2, axis=2
-    )
-
-
-def dominant_wavenumber(f_hat, grid) -> int:
+def dominant_wavenumber(power, grid) -> int:
     """|m| of the spatial mode carrying the most deviation energy.
 
-    Measured on the walker density aggregated over angles; returns 0 when
-    nothing rises above round-off relative to the uniform mode.
+    ``power`` is the half-axis-weighted |f_hat|^2; summed over angular
+    modes, it measures the walker density aggregated over angles.  Returns
+    0 when nothing rises above round-off relative to the uniform mode.
     """
-    energy = _weighted_mode_energy(f_hat, grid)
+    energy = np.sum(power, axis=2)
     zero_level = energy[0, 0]
-    energy = energy.copy()
     energy[0, 0] = 0.0
     peak = float(np.max(energy))
     if peak <= 1.0e-20 * max(zero_level, 1.0):
@@ -109,13 +111,15 @@ def compute_observables(
     f_phys = state.f_physical()
     mass = state.mass()
 
-    dev_sq = w3 * np.abs(f_hat) ** 2
+    sq = np.abs(f_hat) ** 2
+    power = w3 * sq
+    power_sum = float(np.sum(power))
     zero_dev = abs(f_hat[0, 0, 0] - n_tot / TWO_PI) ** 2
     l2_dev = math.sqrt(
-        max(TWO_PI * (float(np.sum(dev_sq)) - float(dev_sq[0, 0, 0]) + zero_dev), 0.0)
+        max(TWO_PI * (power_sum - float(power[0, 0, 0]) + zero_dev), 0.0)
     ) / n_tot
 
-    sobolev = float(np.sum(w3 * (1.0 + grid.ksq_3d + grid.nsq_3d) * np.abs(f_hat) ** 2))
+    sobolev = float(np.sum(w3 * (1.0 + grid.ksq_3d + grid.nsq_3d) * sq))
     h1 = math.sqrt(TWO_PI * sobolev) / n_tot
 
     rho = ifft2(marginal_hat(f_hat, grid), grid)
@@ -127,6 +131,17 @@ def compute_observables(
     grad_c = math.sqrt(float(np.sum(w2 * grid.ksq_2d * np.abs(c_hat) ** 2))) / n_xy
     hess_c = math.sqrt(float(np.sum(w2 * grid.ksq_2d**2 * np.abs(c_hat) ** 2))) / n_xy
 
+    # the residual is a sum of nearly cancelling terms: keep the operand order
+    f_sq = TWO_PI * power_sum / n_tot**2
+    damping = params.sigma_x * grid.ksq_3d + params.sigma_theta * grid.nsq_3d
+    dissip = TWO_PI * float(np.sum(w3 * damping * sq)) / n_tot**2
+    turning = 0.0
+    if params.chi != 0.0:
+        # d_theta B is the bias expansion of the rotated parts
+        g1, g2, s, r = turning_bias_parts(c_hat, grid, params.tau)
+        db = expand_bias((g2, -g1, -2.0 * r, 2.0 * s), grid)
+        turning = 0.5 * params.chi * float(np.sum(f_phys * f_phys * db)) * grid.cell_volume
+
     return ObservableRecord(
         t=state.t,
         mass=mass,
@@ -137,86 +152,49 @@ def compute_observables(
         grad_c_l2=grad_c,
         hess_c_l2=hess_c,
         dissipation_residual=None,
-        dominant_k=dominant_wavenumber(f_hat, grid),
+        dominant_k=dominant_wavenumber(power, grid),
         trail_count=count_trails(rho, grid, prominence_frac),
+        balance_terms=(f_sq, dissip, turning),
     )
 
 
-def dissipation_residual(states, params: ModelParams) -> float:
-    """Energy-balance residual from a window of three equispaced states.
+def dissipation_residual(records) -> float | None:
+    """Energy-balance residual of the middle of three consecutive records.
 
-    Centered difference of the kinetic energy against the dissipation and
-    turning terms evaluated at the middle state; normalized by the middle
-    int f^2.
+    Centered difference of the kinetic energy against the middle record's
+    dissipation and turning terms, normalized by its int f^2; None when the
+    samples are not equally spaced.
     """
-    if len(states) != 3:
-        raise ValueError(f"need exactly 3 states, got {len(states)}")
-    s0, s1, s2 = states
-    d10 = s1.t - s0.t
-    d21 = s2.t - s1.t
+    r0, r1, r2 = records
+    d10 = r1.t - r0.t
+    d21 = r2.t - r1.t
     if d10 <= 0.0 or abs(d21 - d10) > 1.0e-9 * d10:
-        raise ValueError(f"window must be uniformly spaced, got dt = {d10}, {d21}")
-    grid = s1.grid
-    n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
-    w3 = grid.half_weights[None, :, None]
-
-    def f_sq_integral(state):
-        return TWO_PI * float(np.sum(w3 * np.abs(state.f_hat) ** 2)) / n_tot**2
-
-    e0 = 0.5 * f_sq_integral(s0)
-    e2 = 0.5 * f_sq_integral(s2)
-    de_dt = (e2 - e0) / (s2.t - s0.t)
-
-    f1 = s1.f_hat
-    dissip = (
-        TWO_PI
-        * float(
-            np.sum(
-                w3
-                * (params.sigma_x * grid.ksq_3d + params.sigma_theta * grid.nsq_3d)
-                * np.abs(f1) ** 2
-            )
-        )
-        / n_tot**2
-    )
-
-    turning = 0.0
-    if params.chi != 0.0:
-        # d_theta B is the bias expansion of the rotated parts
-        g1, g2, s, r = turning_bias_parts(s1.c_hat, grid, params.tau)
-        db = expand_bias((g2, -g1, -2.0 * r, 2.0 * s), grid)
-        f_phys = s1.f_physical()
-        turning = 0.5 * params.chi * float(np.sum(f_phys * f_phys * db)) * grid.cell_volume
-
-    norm = max(f_sq_integral(s1), 1.0e-300)
+        return None
+    e0 = 0.5 * r0.balance_terms[0]
+    e2 = 0.5 * r2.balance_terms[0]
+    de_dt = (e2 - e0) / (r2.t - r0.t)
+    f_sq, dissip, turning = r1.balance_terms
+    norm = max(f_sq, 1.0e-300)
     return (de_dt + dissip + turning) / norm
 
 
 class ObservableCollector:
     """Observer for :func:`antkinetics.dynamics.run`.
 
-    Collects one record per sample and, once three consecutive samples are
-    available, back-fills the energy-balance residual of the middle one.
+    Collects one record per sample and, once the next sample is taken,
+    back-fills the energy-balance residual of the one before it from the
+    records alone; no state is kept.
     """
 
     def __init__(self, params: ModelParams, prominence_frac: float = 0.05):
         self.params = params
         self.prominence_frac = prominence_frac
         self.records: list[ObservableRecord] = []
-        self._window: list[PhaseState] = []
 
     def __call__(self, state: PhaseState) -> None:
         self.records.append(compute_observables(state, self.params, self.prominence_frac))
-        self._window.append(state)
-        if len(self._window) > 3:
-            self._window.pop(0)
-        if len(self._window) == 3:
-            d10 = self._window[1].t - self._window[0].t
-            d21 = self._window[2].t - self._window[1].t
-            if d10 > 0.0 and abs(d21 - d10) <= 1.0e-9 * d10:
-                self.records[-2].dissipation_residual = dissipation_residual(
-                    self._window, self.params
-                )
+        if len(self.records) >= 3:
+            self.records[-2].dissipation_residual = dissipation_residual(self.records[-3:])
 
 
 @dataclass(frozen=True)
@@ -258,7 +236,9 @@ def fit_exponential_rate(times, values, window=None) -> ExponentialFit:
 
 # --- output formats -------------------------------------------------------------
 
-RECORD_FIELDS = tuple(f.name for f in fields(ObservableRecord))
+RECORD_FIELDS = tuple(
+    f.name for f in fields(ObservableRecord) if f.metadata.get("written", True)
+)
 
 # the CSV spreads lp_rho over one column per order
 CSV_COLUMNS = tuple(

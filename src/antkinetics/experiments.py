@@ -275,13 +275,14 @@ def eigen_seed_states(
 ):
     """The four orthogonal eigenfunction-seeded initial states at wavenumber k.
 
-    Returns (mu, [(name, state, seed_field)]):  mu is the rightmost
+    Returns (mu, [(name, state, seed_hat)]):  mu is the rightmost
     eigenvalue of the truncated wavenumber-k operator at the configured
     viscosities; seeds are the two mean directions and their quarter-turn
     images, each normalized to unit L^2 norm and scaled by
-    amplitude_rel * ||uniform state||.  For stable or oscillatory
-    rightmost eigenvalues the profiles are built at a safe positive rate
-    instead (any smooth seed decays there).
+    amplitude_rel * ||uniform state||; seed_hat is ``fft3`` of the unscaled
+    seed field.  For stable or oscillatory rightmost eigenvalues the
+    profiles are built at a safe positive rate instead (any smooth seed
+    decays there).
     """
     params, grid = cfg.params, cfg.grid
     rp = reduce_params(params, k)
@@ -316,7 +317,7 @@ def eigen_seed_states(
                     grid.shape_phys2
                 )
             state = state_from_density(grid, params, f, c_values=c_values)
-            seeds.append((label + ("_rot" if rotated else ""), state, field3))
+            seeds.append((label + ("_rot" if rotated else ""), state, f_hat))
     return spectrum, seeds
 
 
@@ -467,7 +468,7 @@ def run_growth_match(
     stride = max(1, n_steps // n_samples)
 
     # Gram matrix of the raw seed fields
-    vectors = [fft3(field3) for _, _, field3 in seeds]
+    vectors = [seed_hat for _, _, seed_hat in seeds]
     gram = np.zeros((4, 4))
     w3 = grid.half_weights[None, :, None]
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
@@ -661,11 +662,17 @@ def run_simulate(
 ) -> dict:
     """Integrate and sample observables, plus a final checkpoint.
 
-    The samples are written as NDJSON and CSV when the run ends.  When the
-    run fails, the samples up to the first one holding a non-finite value
-    are written before the error propagates.
+    The samples up to the first one holding a non-finite value are written
+    as NDJSON and CSV when the run ends or fails; a run that ends with such
+    a sample then raises, naming its time.  A resume must step past the
+    checkpoint's time.
     """
     state = initial_state(cfg, init)
+    include_initial = state.step == 0
+    if not include_initial and t_end - state.t < 0.5 * cfg.stepper.dt:
+        raise ValueError(
+            f"t_end = {t_end!r} does not lie after the checkpoint time t = {state.t!r}"
+        )
     collector = ObservableCollector(cfg.params)
     checkpoint_dir = os.path.join(cfg.out_dir, "checkpoint") if cfg.out_dir else None
     try:
@@ -676,18 +683,22 @@ def run_simulate(
             t_end,
             observers=(collector,),
             stride=stride,
-            include_initial=state.step == 0,
+            include_initial=include_initial,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             config_digest=cfg.digest,
         )
-    except BaseException:
+    finally:
         # the samples leading into a blow-up overflow; strict JSON cannot hold them
         clean = list(itertools.takewhile(record_is_finite, collector.records))
         if clean:
             write_outputs(cfg, "observables", None, clean)
-        raise
-    write_outputs(cfg, "observables", None, collector.records)
+    if len(clean) < len(collector.records):
+        bad = collector.records[len(clean)]
+        raise RuntimeError(
+            f"non-finite observables in the sample at t = {bad.t!r}; "
+            f"the {len(clean)} samples before it were written"
+        )
     final = collector.records[-1]
     return {
         "t": result.state.t,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (exit codes, JSON output)."""
 
+import csv
 import json
 import re
 
@@ -278,6 +279,50 @@ class TestSimulate:
         assert [json.loads(line)["t"] for line in lines] == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])
         assert len((out_dir / "observables.csv").read_text().splitlines()) == 1 + len(lines)
         assert config_hash_of(out_dir / "manifest.txt")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_last_sample_keeps_the_samples(self, tmp_path, capsys):
+        """A run that ends on a non-finite sample writes the same records before it
+        to both files and names that sample's time."""
+        unstable = tmp_path / "unstable.cfg"
+        unstable.write_text(CONFIG_TEXT.replace("chi = 4.0", "chi = 400"))
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            [
+                "simulate", "--t-end", "1.0", "--dt", "0.2", "--stride", "1",
+                "--config", str(unstable), "--out", str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 1 and "non-finite" in err and "t = 1.0" in err
+        ndjson = [
+            json.loads(line) for line in (out_dir / "observables.ndjson").read_text().splitlines()
+        ]
+        with open(out_dir / "observables.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [record["t"] for record in ndjson] == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])
+        assert len(rows) == len(ndjson)
+        for record, row in zip(ndjson, rows):
+            assert float(row["t"]) == record["t"]
+            assert float(row["l2_f_dev"]) == record["l2_f_dev"]
+            assert float(row["lp_rho_6"]) == record["lp_rho"]["6"]
+
+    def test_resume_at_the_checkpoint_time_is_refused(self, config, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            [
+                "simulate", "--t-end", "0.004", "--resume", str(out_dir / "checkpoint"),
+                "--config", config, "--out", str(tmp_path / "resumed"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("0.004") == 2
+        assert not (tmp_path / "resumed").exists()
 
 
 def config_hash_of(manifest):

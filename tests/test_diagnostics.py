@@ -1,7 +1,9 @@
 """Tests for observables, rate fits, and the energy-balance residual."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -44,22 +46,27 @@ def params(**kw):
     return ModelParams(**base)
 
 
+def weighted_power(f, grid):
+    """The half-axis-weighted |f_hat|^2 that dominant_wavenumber reads."""
+    return grid.half_weights[None, :, None] * np.abs(fft3(f)) ** 2
+
+
 class TestDominantWavenumber:
     def test_uniform_state_reports_zero(self, grid):
         state = homogeneous_state(grid, params())
-        assert dominant_wavenumber(state.f_hat, grid) == 0
+        assert dominant_wavenumber(weighted_power(state.f_physical(), grid), grid) == 0
 
     def test_single_mode_along_x1(self, grid):
         f = (1.0 + 0.1 * np.cos(3.0 * TWO_PI * grid.x1))[:, None, None] * np.ones(
             grid.shape_phys3
         ) / TWO_PI
-        assert dominant_wavenumber(fft3(f), grid) == 3
+        assert dominant_wavenumber(weighted_power(f, grid), grid) == 3
 
     def test_single_mode_along_x2(self, grid):
         f = (1.0 + 0.1 * np.cos(2.0 * TWO_PI * grid.x2))[None, :, None] * np.ones(
             grid.shape_phys3
         ) / TWO_PI
-        assert dominant_wavenumber(fft3(f), grid) == 2
+        assert dominant_wavenumber(weighted_power(f, grid), grid) == 2
 
     def test_diagonal_mode_rounds_modulus(self, grid):
         # (1, 1) has modulus sqrt(2); the reported integer is round(sqrt(2)) = 1
@@ -67,7 +74,7 @@ class TestDominantWavenumber:
             1.0
             + 0.1 * np.cos(TWO_PI * (grid.x1[:, None] + grid.x2[None, :]))
         )[:, :, None] * np.ones(grid.shape_phys3) / TWO_PI
-        assert dominant_wavenumber(fft3(f), grid) == 1
+        assert dominant_wavenumber(weighted_power(f, grid), grid) == 1
 
     def test_largest_mode_wins(self, grid):
         f = (
@@ -75,7 +82,7 @@ class TestDominantWavenumber:
             + 0.02 * np.cos(TWO_PI * grid.x1)[:, None]
             + 0.2 * np.cos(4.0 * TWO_PI * grid.x2)[None, :]
         )[:, :, None] * np.ones(grid.shape_phys3) / TWO_PI
-        assert dominant_wavenumber(fft3(f), grid) == 4
+        assert dominant_wavenumber(weighted_power(f, grid), grid) == 4
 
 
 class TestCountTrails:
@@ -175,8 +182,8 @@ class TestFitExponentialRate:
 
 class TestDissipationResidual:
     @staticmethod
-    def heat_states(grid, p, t_mid, dt):
-        """Three exact heat-flow snapshots around t_mid."""
+    def heat_records(grid, p, t_mid, dt):
+        """Records of three exact heat-flow snapshots around t_mid."""
         rate = 4.0 * math.pi**2 * p.sigma_x + 4.0 * p.sigma_theta
         pert = np.cos(TWO_PI * grid.x1)[:, None, None] * np.cos(2.0 * grid.theta)[
             None, None, :
@@ -184,27 +191,24 @@ class TestDissipationResidual:
         out = []
         for t in (t_mid - dt, t_mid, t_mid + dt):
             f = 1.0 / TWO_PI + 0.1 * math.exp(-rate * t) * pert
-            out.append(state_from_density(grid, p, f, t=t))
+            out.append(compute_observables(state_from_density(grid, p, f, t=t), p))
         return out
 
     def test_centered_difference_converges_quadratically(self, grid):
         p = params(lam=0.0)
-        r_coarse = abs(dissipation_residual(self.heat_states(grid, p, 0.5, 0.02), p))
-        r_fine = abs(dissipation_residual(self.heat_states(grid, p, 0.5, 0.01), p))
+        r_coarse = abs(dissipation_residual(self.heat_records(grid, p, 0.5, 0.02)))
+        r_fine = abs(dissipation_residual(self.heat_records(grid, p, 0.5, 0.01)))
         assert r_coarse < 1e-4
         ratio = r_coarse / r_fine
         assert 3.0 < ratio < 5.0
 
     def test_window_shape_is_checked(self, grid):
         p = params(lam=0.0)
-        states = self.heat_states(grid, p, 0.5, 0.02)
-        with pytest.raises(ValueError, match="exactly 3"):
-            dissipation_residual(states[:2], p)
-        states[2] = state_from_density(
-            grid, p, states[2].f_physical(), t=0.57
-        )
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            dissipation_residual(states, p)
+        records = self.heat_records(grid, p, 0.5, 0.02)
+        with pytest.raises(ValueError):
+            dissipation_residual(records[:2])
+        records[2].t = 0.57
+        assert dissipation_residual(records) is None
 
     def test_collector_backfills_middle_samples(self, grid):
         p = params(chi=2.0)
@@ -221,6 +225,27 @@ class TestDissipationResidual:
         assert all(res is not None for res in filled)
         # a first-order scheme at dt = 1e-3 keeps the relative defect small
         assert all(abs(res) < 1e-2 for res in filled)
+
+    def test_uneven_last_stride_leaves_no_residual(self, grid):
+        """Samples at steps 0, 3, 6 and 7: the one at step 6 has unequal neighbours."""
+        p = params(chi=2.0)
+        collector = ObservableCollector(p)
+        run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 0.007,
+            observers=(collector,), stride=3)
+        records = collector.records
+        assert [round(r.t, 12) for r in records] == [0.0, 0.003, 0.006, 0.007]
+        assert records[1].dissipation_residual is not None
+        assert records[-2].dissipation_residual is None
+
+    def test_collector_keeps_no_state(self, grid):
+        p = params(chi=2.0)
+        refs = []
+        collector = ObservableCollector(p)
+        run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 0.005,
+            observers=(collector, lambda state: refs.append(weakref.ref(state))))
+        gc.collect()
+        assert len(refs) == 6
+        assert all(ref() is None for ref in refs)
 
 
 class TestSerialization:
@@ -250,6 +275,7 @@ class TestSerialization:
         assert len(loaded) == len(records)
         for rec, row in zip(records, loaded):
             assert row == record_to_dict(rec)
+            assert "balance_terms" not in row
 
     def test_csv_roundtrip_is_exact(self, grid, tmp_path):
         import csv
