@@ -89,9 +89,18 @@ class PhaseState:
     t: float = 0.0
     step: int = 0
     flags: frozenset = frozenset()
+    _f_phys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_physical(self) -> np.ndarray:
-        return ifft3(self.f_hat, self.grid)
+        """The physical density, transformed once per state and read only.
+
+        The cache assumes ``f_hat`` is never written in place after the
+        first call; the solver always builds a new state instead.
+        """
+        if self._f_phys is None:
+            self._f_phys = ifft3(self.f_hat, self.grid)
+            self._f_phys.flags.writeable = False
+        return self._f_phys
 
     def mass(self) -> float:
         return float(self.f_hat[0, 0, 0].real) * self.grid.cell_volume
@@ -175,11 +184,10 @@ class Stepper:
         t2 = fft3(self.sin3 * f_phys)
         return self.params.lam * (grid.ik1_3d * t1 + grid.ik2_3d * t2)
 
-    # explicit part: -lambda div_x(v f) - chi d_theta(B f)
-    def explicit_rhs(self, f_hat, c_hat):
+    # explicit part: -lambda div_x(v f) - chi d_theta(B f), from the physical f
+    def explicit_rhs(self, f_phys, c_hat):
         grid, params = self.grid, self.params
-        f_phys = ifft3(f_hat, grid)
-        rhs = np.zeros_like(f_hat)
+        rhs = np.zeros(grid.shape_four3, dtype=complex)
         max_abs_b = 0.0
         if params.lam != 0.0:
             rhs -= self.drift(f_phys)
@@ -189,7 +197,7 @@ class Stepper:
             rhs -= params.chi * grid.in_3d * fft3(bias * f_phys)
         if self.mask is not None:
             rhs *= self.mask
-        return rhs, max_abs_b, f_phys
+        return rhs, max_abs_b
 
     def chemical_of(self, c_hat, rho_hat):
         """Chemical coefficients for the marginal rho_hat: the instantaneous
@@ -216,7 +224,8 @@ class Stepper:
         if not parabolic:
             c_hat = self.chemical_of(c_hat, rho0)
 
-        n1, max_abs_b, f_phys = self.explicit_rhs(f_hat, c_hat)
+        f_phys = state.f_physical()
+        n1, max_abs_b = self.explicit_rhs(f_phys, c_hat)
         flags = state.flags
 
         # the parabolic field is driven by the frozen (IMEX) or trapezoidal
@@ -228,7 +237,7 @@ class Stepper:
             stage = self.decay_f * f_hat + dt * self.phi1 * n1
             rho_stage = marginal_hat(stage, grid)
             c_stage = self.chemical_of(c_hat, rho0 if parabolic else rho_stage)
-            n2, max_b2, _ = self.explicit_rhs(stage, c_stage)
+            n2, max_b2 = self.explicit_rhs(ifft3(stage, grid), c_stage)
             max_abs_b = max(max_abs_b, max_b2)
             f_new = stage + dt * self.phi2 * (n2 - n1)
             c_new = self.chemical_of(
@@ -270,7 +279,7 @@ class Stepper:
         if not np.all(np.isfinite(n1)):
             pieces = []
             if self.params.lam != 0.0:
-                if not np.all(np.isfinite(self.drift(ifft3(state.f_hat, self.grid)))):
+                if not np.all(np.isfinite(self.drift(state.f_physical()))):
                     pieces.append("drift transport")
             if self.params.chi != 0.0 and not pieces:
                 pieces.append("turning interaction")

@@ -39,13 +39,12 @@ from .dynamics import (
 )
 from .linstab import (
     DispersionResult,
-    assemble_viscous_operator,
     eigen_sweep,
     eigenfunction_field,
     find_unstable_root,
-    rightmost_eigenvalues,
     rotated_eigenfunction,
     seed_profiles,
+    viscous_spectrum,
 )
 from .params import (
     ModelParams,
@@ -286,7 +285,7 @@ def eigen_seed_states(
     """
     params, grid = cfg.params, cfg.grid
     rp = reduce_params(params, k)
-    spectrum = rightmost_eigenvalues(assemble_viscous_operator(rp, n_modes, params.coupling))
+    spectrum = viscous_spectrum(rp, n_modes, params.coupling)
     mu = spectrum.rightmost
     if mu.real > 0.0 and abs(mu.imag) <= 1.0e-10 * (1.0 + abs(mu.real)):
         mu_build = float(mu.real)
@@ -381,9 +380,7 @@ def _scan_row(args):
     try:
         report = dispersion_report(params, k)
         rp = reduce_params(params, k)
-        spectrum = rightmost_eigenvalues(
-            assemble_viscous_operator(rp, n_modes, params.coupling)
-        )
+        spectrum = viscous_spectrum(rp, n_modes, params.coupling)
         rightmost = spectrum.rightmost
         row.update(
             margin=report["margin"],

@@ -15,13 +15,20 @@ which a closed form exists.  The same linearization truncated in an
 angular Fourier basis gives a dense matrix whose rightmost eigenvalue
 cross-checks the root, works for sigma > 0 where no closed form exists,
 and provides eigenfunctions for seeding simulations.
+
+Every entry of that matrix is even under the angular reflection n -> -n
+(the diffusion diagonal, the drift band, the bias deposits and the means
+all are), so it commutes with the reflection.  Its spectrum is therefore
+the union of the spectra of two half-size blocks, one on the even and one
+on the odd combinations of modes +n and -n; :func:`viscous_spectrum`
+solves those two instead of the full matrix.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -278,6 +285,12 @@ def assemble_viscous_operator(
       the angular matrix deposits on modes +-1 (cos t) and +-2 (cos 2t);
       for the parabolic coupling the deposits read the chemical amplitudes
       instead, which in turn relax at rate nu_breve driven by the means.
+
+    Each of these is even under n -> -n: the diagonal reads n^2, the drift
+    band has the same weight at every n, the deposits sit on +-1 and +-2
+    alike, and the means read n = 0.  So the matrix equals its copy with n
+    and -n swapped inside each block, bit for bit, and
+    :func:`_parity_blocks` folds it on that symmetry.
     """
     n_modes = int(n_modes)
     size = 2 * n_modes + 1
@@ -302,6 +315,37 @@ def assemble_viscous_operator(
     return mat
 
 
+def _parity_blocks(matrix: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of a matrix that commutes with n -> -n.
+
+    ``matrix`` uses the layout of :func:`assemble_viscous_operator`: the
+    a and b blocks over n = -N..N, then any trailing chemical amplitudes.
+    Z holds the two n = 0 amplitudes and the chemical ones, + the n > 0
+    rows and - the n < 0 rows, paired n <-> -n.  In the orthonormal basis
+    of Z, (e_n + e_-n) / sqrt 2 and (e_n - e_-n) / sqrt 2 the matrix is
+    block diagonal:
+
+        even = [[M_ZZ, sqrt2 M_Z+], [sqrt2 M_+Z, M_++ + M_+-]]
+        odd  = M_++ - M_+-
+
+    so the two blocks have the matrix's eigenvalues and singular values.
+    """
+    size = 2 * n_modes + 1
+    pos = np.arange(n_modes + 1, size)
+    plus = np.concatenate([pos, size + pos])
+    minus = np.concatenate([2 * n_modes - pos, size + 2 * n_modes - pos])
+    zero = np.concatenate([[n_modes, size + n_modes], np.arange(2 * size, matrix.shape[0])])
+    m_pp = matrix[np.ix_(plus, plus)]
+    m_pm = matrix[np.ix_(plus, minus)]
+    nz = zero.size
+    even = np.empty((nz + plus.size,) * 2, dtype=matrix.dtype)
+    even[:nz, :nz] = matrix[np.ix_(zero, zero)]
+    even[:nz, nz:] = math.sqrt(2.0) * matrix[np.ix_(zero, plus)]
+    even[nz:, :nz] = math.sqrt(2.0) * matrix[np.ix_(plus, zero)]
+    even[nz:, nz:] = m_pp + m_pm
+    return even, m_pp - m_pm
+
+
 @dataclass(frozen=True)
 class EigenSpectrum:
     """Spectrum of a truncated operator, sorted by descending real part."""
@@ -313,13 +357,14 @@ class EigenSpectrum:
     sigma: float | None = None
 
 
-def rightmost_eigenvalues(matrix: np.ndarray, cluster_tol: float | None = None) -> EigenSpectrum:
-    """Dense spectrum with the rightmost eigenvalue and its cluster size.
+def rightmost_eigenvalues(*blocks: np.ndarray, cluster_tol: float | None = None) -> EigenSpectrum:
+    """Dense spectrum of the direct sum of ``blocks``, with the rightmost
+    eigenvalue and its cluster size.
 
     ``cluster_tol`` defaults to 1e-8 (1 + |rightmost|); the multiplicity
     counts eigenvalues within that distance of the rightmost one.
     """
-    eigenvalues = scipy.linalg.eig(matrix, right=False)
+    eigenvalues = np.concatenate([scipy.linalg.eig(block, right=False) for block in blocks])
     order = np.argsort(-eigenvalues.real, kind="stable")
     eigenvalues = eigenvalues[order]
     rightmost = complex(eigenvalues[0])
@@ -334,25 +379,20 @@ def rightmost_eigenvalues(matrix: np.ndarray, cluster_tol: float | None = None) 
     )
 
 
+def viscous_spectrum(rp: ReducedParams, n_modes: int, coupling: Coupling) -> EigenSpectrum:
+    """Spectrum of :func:`assemble_viscous_operator`, from its two parity blocks."""
+    matrix = assemble_viscous_operator(rp, n_modes, coupling)
+    return rightmost_eigenvalues(*_parity_blocks(matrix, int(n_modes)))
+
+
 def eigen_sweep(
     rp: ReducedParams, coupling: Coupling, sigmas, n_modes: int = 64
 ) -> list[EigenSpectrum]:
     """Rightmost spectra across an angular-viscosity sweep."""
-    out = []
-    for sigma in sigmas:
-        spectrum = rightmost_eigenvalues(
-            assemble_viscous_operator(rp.with_sigma(float(sigma)), n_modes, coupling)
-        )
-        out.append(
-            EigenSpectrum(
-                eigenvalues=spectrum.eigenvalues,
-                rightmost=spectrum.rightmost,
-                multiplicity=spectrum.multiplicity,
-                cluster_tol=spectrum.cluster_tol,
-                sigma=float(sigma),
-            )
-        )
-    return out
+    return [
+        replace(viscous_spectrum(rp.with_sigma(sigma), n_modes, coupling), sigma=sigma)
+        for sigma in map(float, sigmas)
+    ]
 
 
 @dataclass(frozen=True)
@@ -368,15 +408,19 @@ def resolvent_norm_check(
     """Check ||(mu - sigma d^2/dtheta^2 - V)^{-1}|| <= 1 / Re(mu).
 
     The operator 2-norm of the truncated inverse is 1 over the smallest
-    singular value of the forward matrix.  The drift coupling V is skew in
-    L^2, so the bound holds for every truncation; ``ok`` allows ``slack``.
+    singular value of the forward matrix, taken over its two parity blocks
+    (an orthonormal fold, so the singular values are the same set).  The
+    drift coupling V is skew in L^2, so the bound holds for every
+    truncation; ``ok`` allows ``slack``.
     """
     mu = complex(mu)
     if mu.real <= 0.0:
         raise ValueError(f"mu must have positive real part, got {mu}")
     n_modes = int(n_modes)
     mat = _shifted(mu, _kinetic_block(n_modes, sigma, rp.lambda_breve))
-    smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
+    smin = min(
+        float(np.linalg.svd(block, compute_uv=False)[-1]) for block in _parity_blocks(mat, n_modes)
+    )
     norm = 1.0 / smin
     bound = 1.0 / mu.real
     return ResolventCheck(norm=norm, bound=bound, ok=norm <= bound + slack)

@@ -18,6 +18,7 @@ from antkinetics.linstab import (
     rotated_eigenfunction,
     seed_profiles,
     viscous_eigenfunction,
+    viscous_spectrum,
 )
 from antkinetics.params import Coupling, ModelParams, ReducedParams, reduce_params
 from antkinetics.spectral import SpectralGrid
@@ -241,6 +242,31 @@ class TestTruncatedOperator:
         # angular viscosity only damps the rightmost rate
         assert all(a > b for a, b in zip(reals, reals[1:]))
 
+    @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
+    def test_operator_commutes_with_angular_reflection(self, coupling):
+        rp = reduce_params(self.params(coupling), 2)
+        n_modes = 16
+        matrix = assemble_viscous_operator(rp, n_modes, coupling)
+        size = 2 * n_modes + 1
+        flip = np.concatenate([
+            np.arange(size)[::-1], size + np.arange(size)[::-1],
+            np.arange(2 * size, matrix.shape[0]),
+        ])
+        assert rp.tau_breve > 0.0
+        assert np.array_equal(matrix, matrix[np.ix_(flip, flip)])
+
+    @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("sigma_theta", [0.0, 0.02])
+    @pytest.mark.parametrize("n_modes", [4, 64])
+    def test_parity_spectrum_matches_the_full_matrix(self, coupling, k, sigma_theta, n_modes):
+        rp = reduce_params(self.params(coupling).replace(sigma_theta=sigma_theta), k)
+        full = rightmost_eigenvalues(assemble_viscous_operator(rp, n_modes, coupling))
+        folded = viscous_spectrum(rp, n_modes, coupling)
+        assert abs(folded.rightmost - full.rightmost) <= 1e-12 * (1.0 + abs(full.rightmost))
+        assert folded.multiplicity == full.multiplicity
+        assert folded.eigenvalues.size == full.eigenvalues.size
+
 
 class TestResolventBound:
     def test_bound_holds_for_random_draws(self):
@@ -255,6 +281,19 @@ class TestResolventBound:
             check = resolvent_norm_check(rp, rp.sigma, mu, n_modes=32)
             assert check.ok
             assert check.norm <= check.bound + 1e-8
+
+    def test_parity_blocks_keep_the_smallest_singular_value(self):
+        rng = np.random.default_rng(7)
+        n_modes = 24
+        for _ in range(5):
+            rp = rp_inviscid(0.0, lambda_breve=float(rng.uniform(0.5, 30.0)),
+                             sigma=float(rng.uniform(1e-4, 1.0)))
+            mu = complex(rng.uniform(0.05, 5.0), rng.uniform(-10.0, 10.0))
+            # with chi_breve = 0 the operator is the bare diffusion-drift block
+            kinetic = assemble_viscous_operator(rp, n_modes, Coupling.ELLIPTIC)
+            full = np.linalg.svd(mu * np.eye(kinetic.shape[0]) - kinetic, compute_uv=False)
+            norm = resolvent_norm_check(rp, rp.sigma, mu, n_modes=n_modes).norm
+            assert norm == pytest.approx(1.0 / full[-1], rel=1e-12)
 
     def test_zero_drift_attains_the_bound(self):
         """lambda_breve = 0 leaves a diagonal operator: norm is exactly 1 / mu."""
