@@ -20,7 +20,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,11 +104,6 @@ class PhaseState:
     def mass(self) -> float:
         return float(self.f_hat[0, 0, 0].real) * self.grid.cell_volume
 
-    def copy(self) -> "PhaseState":
-        return PhaseState(
-            self.grid, self.f_hat.copy(), self.c_hat.copy(), self.t, self.step, self.flags
-        )
-
 
 # --- chemical field ----------------------------------------------------------------
 
@@ -136,19 +130,22 @@ def chemical_multipliers(grid: SpectralGrid, params: ModelParams, dt: float = ma
 
 
 def _phi12(z: np.ndarray):
-    """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, stable near 0."""
+    """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, stable near 0.
+
+    The closed forms cancel catastrophically for small |z|; there the
+    5th-order Taylor series is used instead.
+    """
+    em = np.expm1(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi1 = em / z
+        phi2 = (em - z) / (z * z)
     small = np.abs(z) < 1.0e-2
-    zs = np.where(small, 1.0, z)
-    em = np.expm1(zs)
-    phi1 = np.where(
-        small,
-        1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0 + z**4 / 120.0 + z**5 / 720.0,
-        em / zs,
+    zs = z[small]
+    phi1[small] = (
+        1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0 + zs**4 / 120.0 + zs**5 / 720.0
     )
-    phi2 = np.where(
-        small,
-        0.5 + z / 6.0 + z**2 / 24.0 + z**3 / 120.0 + z**4 / 720.0 + z**5 / 5040.0,
-        (em - zs) / (zs * zs),
+    phi2[small] = (
+        0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0 + zs**4 / 720.0 + zs**5 / 5040.0
     )
     return phi1, phi2
 
@@ -292,16 +289,6 @@ class Stepper:
         )
 
 
-@lru_cache(maxsize=8)
-def _stepper(grid: SpectralGrid, params: ModelParams, cfg: StepperConfig) -> Stepper:
-    return Stepper(grid, params, cfg)
-
-
-def fokker_planck_step(state: PhaseState, cfg: StepperConfig, params: ModelParams) -> PhaseState:
-    """Advance the coupled system by one step of the configured scheme."""
-    return _stepper(state.grid, params, cfg).step(state)
-
-
 # --- initial states ----------------------------------------------------------------
 
 
@@ -370,6 +357,7 @@ def run(
     initial state (unless suppressed), on every stride-th step, and on the
     final one.  With ``checkpoint_dir`` the final state is checkpointed,
     and with ``checkpoint_every`` also every that many steps before it.
+    The input state is left unchanged.
     """
     dt = cfg.dt
     span = t_end - state.t
@@ -383,12 +371,13 @@ def run(
     if stride < 1:
         raise ValueError("stride must be >= 1")
 
+    stepper = Stepper(state.grid, params, cfg)
     t0 = state.t
     if include_initial:
         for observer in observers:
             observer(state)
     for i in range(1, n_steps + 1):
-        state = fokker_planck_step(state, cfg, params)
+        state = stepper.step(state)
         # recompute t from the segment origin to avoid accumulated drift
         state.t = t0 + i * dt
         if i % stride == 0 or i == n_steps:

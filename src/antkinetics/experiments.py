@@ -536,23 +536,27 @@ def run_growth_match(
 # --- stability sweep ----------------------------------------------------------------
 
 
+class _DeviationCapReached(Exception):
+    """Raised by the sweep's cap observer to end a member's run."""
+
+
 def run_stability_sweep(
     cfg: ExperimentConfig,
     chi_values=None,
     k_max: int = 4,
     t_end: float = 20.0,
     stride: int = 20,
-    max_mode: int = 4,
-    amplitude: float = 0.1,
 ) -> dict:
     """Sweep chi from common random smooth data and locate the empirical threshold.
 
-    The default chi grid brackets the predicted inviscid threshold at the
-    most unstable wavenumber symmetrically, so the sign-change midpoint can
-    be compared against the prediction.  Rates are fitted on the second
-    half of each run.
+    Every member starts from ``initial_state(cfg, "random")`` and runs once,
+    until t_end or the first sample past the initial one whose deviation
+    reaches the cap.  The default chi grid brackets the predicted inviscid
+    threshold at the most unstable wavenumber symmetrically, so the
+    sign-change midpoint can be compared against the prediction.  Rates are
+    fitted on the second half of each run.
     """
-    params, grid, stepper = cfg.params, cfg.grid, cfg.stepper
+    params = cfg.params
     probe = params if params.chi > 0.0 else params.replace(chi=1.0)
     k_star = most_unstable_k(probe, k_max)
     chi_star = inviscid_threshold_chi(probe, k_star)
@@ -560,36 +564,37 @@ def run_stability_sweep(
         chi_values = [0.0, 0.4 * chi_star, 0.8 * chi_star, 1.2 * chi_star, 1.6 * chi_star]
     chi_values = sorted(float(c) for c in chi_values)
 
-    rng = np.random.default_rng(cfg.seed)
-    base_state = random_band_limited_state(grid, params, rng, max_mode, amplitude)
+    base_state = initial_state(cfg, "random")
     dev_cap = 0.2 / math.sqrt(TWO_PI)  # stop well before trails saturate
 
     rows = []
     for chi in chi_values:
         run_params = params.replace(chi=chi)
         collector = ObservableCollector(run_params)
-        state = base_state.copy()
-        segment = stride * stepper.dt
+
+        def stop_at_cap(state):
+            records = collector.records
+            if len(records) > 1 and records[-1].l2_f_dev >= dev_cap:
+                raise _DeviationCapReached
+
         error = ""
-        while state.t < t_end - 0.5 * stepper.dt:
-            target = min(state.t + segment, t_end)
-            try:
-                state = run(
-                    state, stepper, run_params, target,
-                    observers=(collector,), stride=stride,
-                    include_initial=state.step == 0,
-                ).state
-            except RuntimeError as exc:  # keep the clean samples from before blow-up
-                error = str(exc)
-                break
-            if collector.records and collector.records[-1].l2_f_dev >= dev_cap:
-                break
-        times = np.array([record.t for record in collector.records])
-        devs = np.array([record.l2_f_dev for record in collector.records])
-        row = {"chi": chi, "t_stop": float(times[-1]) if len(times) else 0.0, "error": error}
-        if collector.records:
-            row["mass_err"] = max(abs(record.mass - 1.0) for record in collector.records)
-            row["min_f"] = min(record.min_f for record in collector.records)
+        try:
+            run(base_state, cfg.stepper, run_params, t_end,
+                observers=(collector, stop_at_cap), stride=stride)
+        except _DeviationCapReached:
+            pass
+        except RuntimeError as exc:  # keep the clean samples from before blow-up
+            error = str(exc)
+        records = collector.records  # never empty: the initial state is sampled
+        times = np.array([record.t for record in records])
+        devs = np.array([record.l2_f_dev for record in records])
+        row = {
+            "chi": chi,
+            "t_stop": float(times[-1]),
+            "error": error,
+            "mass_err": max(abs(record.mass - 1.0) for record in records),
+            "min_f": min(record.min_f for record in records),
+        }
         try:
             fit = fit_exponential_rate(times, devs, window=(0.5 * row["t_stop"], row["t_stop"]))
             row.update(rate=fit.rate, r2=fit.r2)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from antkinetics.dynamics import (
     PhaseState,
     Scheme,
+    Stepper,
     StepperConfig,
+    _phi12,
     chemical_multipliers,
-    fokker_planck_step,
     homogeneous_state,
     marginal_hat,
     read_checkpoint,
@@ -87,9 +89,10 @@ def test_uniform_state_is_a_fixed_point(grid, coupling, scheme):
     p = params(coupling=coupling, chi=5.0, tau=0.3)
     state = homogeneous_state(grid, p)
     f0, c0 = state.f_hat.copy(), state.c_hat.copy()
+    stepper = Stepper(grid, p, StepperConfig(dt=1e-2, scheme=scheme))
     out = state
     for _ in range(5):
-        out = fokker_planck_step(out, StepperConfig(dt=1e-2, scheme=scheme), p)
+        out = stepper.step(out)
     assert np.array_equal(out.f_hat, f0)
     np.testing.assert_allclose(out.c_hat, c0, atol=1e-12)
 
@@ -122,7 +125,7 @@ def test_transport_single_euler_step_is_analytic(grid):
     ) / TWO_PI
     state = state_from_density(grid, p, f0)
     dt = 1e-3
-    out = fokker_planck_step(state, StepperConfig(dt=dt, scheme="imex_euler"), p)
+    out = Stepper(grid, p, StepperConfig(dt=dt, scheme="imex_euler")).step(state)
     drift = (
         p.lam
         * eps
@@ -164,6 +167,19 @@ def test_run_time_grid_is_drift_free(grid):
         run(state, StepperConfig(dt=1e-3), p, 0.1234567)
 
 
+def test_run_leaves_its_input_unchanged(tmp_path, grid):
+    p = params()
+    pert = np.cos(TWO_PI * grid.x1)[:, None, None] * np.ones(grid.shape_phys3)
+    state = state_from_density(grid, p, 1.0 / TWO_PI + 2.0 * pert)
+    f0, c0 = state.f_hat.copy(), state.c_hat.copy()
+    seen = []
+    result = run(state, StepperConfig(dt=1e-3), p, 0.006, observers=(seen.append,), stride=2,
+                 checkpoint_dir=tmp_path / "ckpt", checkpoint_every=3)
+    assert result.positivity_flagged and len(seen) == 4
+    assert np.array_equal(state.f_hat, f0) and np.array_equal(state.c_hat, c0)
+    assert (state.t, state.step, state.flags) == (0.0, 0, frozenset())
+
+
 def test_observers_sampled_on_stride_and_final(grid):
     p = params()
     state = homogeneous_state(grid, p)
@@ -181,8 +197,8 @@ def test_resume_from_checkpoint_is_bit_exact(tmp_path, grid, coupling):
     state = state_from_density(grid, p, f)
     cfg = StepperConfig(dt=2e-3)
 
-    straight = run(state.copy(), cfg, p, 0.1).state
-    half = run(state.copy(), cfg, p, 0.05).state
+    straight = run(state, cfg, p, 0.1).state
+    half = run(state, cfg, p, 0.05).state
     write_checkpoint(tmp_path / "ckpt", half, "abc123")
     resumed_state = read_checkpoint(tmp_path / "ckpt", "abc123")
     assert resumed_state.t == half.t
@@ -221,7 +237,7 @@ def test_self_convergence_order(grid, coupling, scheme, order):
     T = 0.08
 
     def solve(dt):
-        return run(base.copy(), StepperConfig(dt=dt, scheme=scheme), p, T).state.f_physical()
+        return run(base, StepperConfig(dt=dt, scheme=scheme), p, T).state.f_physical()
 
     ref = solve(T / 256)
     errors = [np.max(np.abs(solve(T / n) - ref)) for n in (8, 16, 32)]
@@ -253,4 +269,24 @@ def test_non_finite_input_raises_named_error(grid):
     state = homogeneous_state(grid, p)
     state.f_hat[1, 1, 1] = np.nan
     with pytest.raises(RuntimeError, match="non-finite"):
-        fokker_planck_step(state, StepperConfig(dt=1e-3), p)
+        Stepper(grid, p, StepperConfig(dt=1e-3)).step(state)
+
+
+def test_phi12_matches_a_50_digit_reference():
+    """Closed forms and the small-|z| series against decimal arithmetic."""
+    values = [0.0, 1e-9, -1e-9, 3e-5, -3e-5, 0.0099999, -0.0099999, 0.01, -0.01,
+              0.0100001, -0.0100001, 0.02, -0.5, 0.7, -3.0, 5.0, -40.0, -700.0]
+    z = np.array(values + [-1e-3] * 6).reshape(2, 3, 4)
+    phi1, phi2 = _phi12(z)
+    assert phi1.shape == phi2.shape == z.shape
+    zero = z == 0.0
+    assert np.all(phi1[zero] == 1.0) and np.all(phi2[zero] == 0.5)
+
+    ctx = decimal.Context(prec=50)
+    for x, p1, p2 in zip(z[~zero], phi1[~zero], phi2[~zero]):
+        zd = decimal.Decimal(float(x))
+        em = ctx.subtract(ctx.exp(zd), 1)
+        ref1 = ctx.divide(em, zd)
+        ref2 = ctx.divide(ctx.subtract(em, zd), ctx.multiply(zd, zd))
+        assert abs(p1 - float(ref1)) <= 1e-13 * abs(float(ref1)), x
+        assert abs(p2 - float(ref2)) <= 1e-13 * abs(float(ref2)), x

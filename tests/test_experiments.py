@@ -1,12 +1,14 @@
 """Tests for the experiment harness: configs, seeds, scans, sweeps, runs."""
 
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
-from antkinetics import dynamics
+from antkinetics import dynamics, experiments
+from antkinetics.diagnostics import ObservableCollector, record_to_dict
 from antkinetics.dynamics import read_checkpoint, write_checkpoint
 from antkinetics.experiments import (
     ExperimentKind,
@@ -271,6 +273,67 @@ class TestStabilitySweep:
         assert result["threshold_ok"]
         assert (tmp_path / "stability_sweep.csv").exists()
         assert (tmp_path / "stability_sweep.json").exists()
+
+    @staticmethod
+    def capture_collectors(monkeypatch):
+        """Patch the sweep's ``run`` to hand back each member's collector."""
+        collectors = []
+        real_run = experiments.run
+
+        def spy(state, *args, **kwargs):
+            collectors.append(kwargs["observers"][0])
+            return real_run(state, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run", spy)
+        return collectors
+
+    def test_one_run_and_one_stepper_per_member(self, monkeypatch):
+        cfg = build_config(
+            mapping(chi="1.0", seed="2", dt="1e-2"), ExperimentKind.STABILITY_SWEEP
+        )
+        collectors = self.capture_collectors(monkeypatch)
+        built = []
+        real_init = dynamics.Stepper.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(dynamics.Stepper, "__init__", counting_init)
+        chi_star = inviscid_threshold_chi(cfg.params, 1)
+        chi_values = [0.6 * chi_star, 3.0 * chi_star]
+        dt, stride, t_end = cfg.stepper.dt, 5, 4.0
+        result = run_stability_sweep(
+            cfg, chi_values=chi_values, k_max=2, t_end=t_end, stride=stride
+        )
+        assert len(collectors) == len(chi_values)
+        assert len(built) == len(collectors)
+
+        dev_cap = 0.2 / math.sqrt(TWO_PI)
+        decaying, capped = (collector.records for collector in collectors)
+        for records, row in zip((decaying, capped), result["rows"]):
+            assert [r.t for r in records] == [i * stride * dt for i in range(len(records))]
+            assert row["t_stop"] == records[-1].t
+        assert decaying[-1].t == t_end
+        assert capped[-1].t < t_end
+        assert capped[-1].l2_f_dev >= dev_cap
+        assert all(r.l2_f_dev < dev_cap for r in capped[1:-1])
+
+    def test_initial_data_keys_reach_the_sweep(self, tmp_path, monkeypatch):
+        keys = mapping(seed="3", amplitude="0.02", max_mode="2")
+        sim = build_config(keys, ExperimentKind.SIMULATE, out_dir=str(tmp_path))
+        run_simulate(sim, t_end=2 * sim.stepper.dt, stride=1)
+        with open(tmp_path / "observables.ndjson", encoding="utf-8") as fh:
+            simulated = json.loads(fh.readline())
+
+        collectors = self.capture_collectors(monkeypatch)
+        sweep = build_config(keys, ExperimentKind.STABILITY_SWEEP)
+        run_stability_sweep(sweep, chi_values=[1.0], t_end=2 * sweep.stepper.dt, stride=1)
+        swept = json.loads(json.dumps(record_to_dict(collectors[0].records[0])))
+        assert swept == simulated
+        default = ObservableCollector(sweep.params)
+        default(initial_state(build_config(mapping(seed="3"), ExperimentKind.SIMULATE)))
+        assert default.records[0].l2_f_dev != swept["l2_f_dev"]
 
 
 class TestInitialState:
