@@ -34,6 +34,9 @@ TWO_PI = 2.0 * math.pi
 
 LP_ORDERS = (1, 2, 6)
 
+# a trail is a maximum whose prominence exceeds this share of the profile range
+_TRAIL_PROMINENCE = 0.05
+
 
 @dataclass
 class ObservableRecord:
@@ -71,12 +74,12 @@ def dominant_wavenumber(power, grid) -> int:
     return int(round(math.hypot(m1, m2)))
 
 
-def count_trails(rho: np.ndarray, grid, prominence_frac: float = 0.05) -> int:
+def count_trails(rho: np.ndarray, grid) -> int:
     """Number of parallel ridges in the angular marginal rho.
 
     The dominant spatial direction comes from rho's own spectrum; rho is
     averaged along the other axis and maxima of the periodic profile are
-    counted with a prominence threshold of ``prominence_frac`` of the
+    counted with a prominence threshold of ``_TRAIL_PROMINENCE`` of the
     profile range.
     """
     rho_hat = np.fft.rfft2(rho)
@@ -94,13 +97,11 @@ def count_trails(rho: np.ndarray, grid, prominence_frac: float = 0.05) -> int:
         return 0
     rolled = np.roll(profile, -int(np.argmin(profile)))
     extended = np.concatenate([rolled, rolled[:1]])
-    peaks, _ = scipy.signal.find_peaks(extended, prominence=prominence_frac * span)
+    peaks, _ = scipy.signal.find_peaks(extended, prominence=_TRAIL_PROMINENCE * span)
     return int(len(peaks))
 
 
-def compute_observables(
-    state: PhaseState, params: ModelParams, prominence_frac: float = 0.05
-) -> ObservableRecord:
+def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRecord:
     grid = state.grid
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
     n_xy = grid.n_x1 * grid.n_x2
@@ -153,7 +154,7 @@ def compute_observables(
         hess_c_l2=hess_c,
         dissipation_residual=None,
         dominant_k=dominant_wavenumber(power, grid),
-        trail_count=count_trails(rho, grid, prominence_frac),
+        trail_count=count_trails(rho, grid),
         balance_terms=(f_sq, dissip, turning),
     )
 
@@ -186,13 +187,12 @@ class ObservableCollector:
     records alone; no state is kept.
     """
 
-    def __init__(self, params: ModelParams, prominence_frac: float = 0.05):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.prominence_frac = prominence_frac
         self.records: list[ObservableRecord] = []
 
     def __call__(self, state: PhaseState) -> None:
-        self.records.append(compute_observables(state, self.params, self.prominence_frac))
+        self.records.append(compute_observables(state, self.params))
         if len(self.records) >= 3:
             self.records[-2].dissipation_residual = dissipation_residual(self.records[-3:])
 

@@ -150,6 +150,11 @@ def _phi12(z: np.ndarray):
     return phi1, phi2
 
 
+def _below_floor(f_phys: np.ndarray, tol: float) -> bool:
+    """Whether min f < -tol * max f, the monitored positivity floor."""
+    return float(np.min(f_phys)) < -tol * max(float(np.max(f_phys)), 0.0)
+
+
 class Stepper:
     """Precomputed multipliers and stage logic for one (grid, params, cfg)."""
 
@@ -253,9 +258,7 @@ class Stepper:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-        fmax = float(np.max(f_phys))
-        fmin = float(np.min(f_phys))
-        if fmin < -cfg.positivity_tol * max(fmax, 0.0):
+        if _below_floor(f_phys, cfg.positivity_tol):
             flags = flags | {"positivity"}
 
         return PhaseState(
@@ -355,9 +358,10 @@ def run(
     t_end must be an integer number of steps away from state.t.  Observers
     are callables receiving the current state; they are invoked on the
     initial state (unless suppressed), on every stride-th step, and on the
-    final one.  With ``checkpoint_dir`` the final state is checkpointed,
-    and with ``checkpoint_every`` also every that many steps before it.
-    The input state is left unchanged.
+    final one.  The positivity flag covers every state the run steps from
+    and the final one.  With ``checkpoint_dir`` the final state is
+    checkpointed, and with ``checkpoint_every`` also every that many steps
+    before it.  The input state is left unchanged.
     """
     dt = cfg.dt
     span = t_end - state.t
@@ -386,6 +390,9 @@ def run(
         periodic = checkpoint_every and i % checkpoint_every == 0
         if checkpoint_dir is not None and periodic and i < n_steps:
             write_checkpoint(checkpoint_dir, state, config_digest)
+    # each step checks the state it starts from; the final one is checked here
+    if n_steps and _below_floor(state.f_physical(), cfg.positivity_tol):
+        state.flags = state.flags | {"positivity"}
     if checkpoint_dir is not None:
         write_checkpoint(checkpoint_dir, state, config_digest)
     return RunResult(

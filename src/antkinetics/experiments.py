@@ -557,9 +557,8 @@ def run_stability_sweep(
     fitted on the second half of each run.
     """
     params = cfg.params
-    probe = params if params.chi > 0.0 else params.replace(chi=1.0)
-    k_star = most_unstable_k(probe, k_max)
-    chi_star = inviscid_threshold_chi(probe, k_star)
+    k_star = most_unstable_k(params, k_max)
+    chi_star = inviscid_threshold_chi(params, k_star)
     if chi_values is None:
         chi_values = [0.0, 0.4 * chi_star, 0.8 * chi_star, 1.2 * chi_star, 1.6 * chi_star]
     chi_values = sorted(float(c) for c in chi_values)

@@ -4,8 +4,11 @@ The homogeneous state (f, c) = (1/2pi, 1/gamma) is probed with the ansatz
 
     f(x, theta) = a(theta) cos(2 pi k x1) + b(theta) sin(2 pi k x1),
 
-which closes on the pair A = (a, b).  Growth rates are roots of a scalar
-relation built from the angular response integral
+which closes on the pair (a, b).  The linearization is complex-linear in
+the profile u = a + i b: the drift multiplies u by i lam cos theta, and the
+bias acting on the mean W = w_0 + i w_1 deposits -chi (tau cos 2 theta +
+i cos theta) W.  Growth rates are roots of a scalar relation built from the
+angular response integral
 
     J(tau, lam, mu) = int_0^{2pi} (-tau mu cos 2t + lam cos^2 t)
                       / (mu^2 + lam^2 cos^2 t) dt
@@ -16,12 +19,14 @@ angular Fourier basis gives a dense matrix whose rightmost eigenvalue
 cross-checks the root, works for sigma > 0 where no closed form exists,
 and provides eigenfunctions for seeding simulations.
 
-Every entry of that matrix is even under the angular reflection n -> -n
-(the diffusion diagonal, the drift band, the bias deposits and the means
-all are), so it commutes with the reflection.  Its spectrum is therefore
-the union of the spectra of two half-size blocks, one on the even and one
-on the odd combinations of modes +n and -n; :func:`viscous_spectrum`
-solves those two instead of the full matrix.
+That matrix is written once, as the complex operator L on u over modes
+n = -N..N (plus one chemical amplitude C = alpha + i beta for the parabolic
+coupling).  :func:`assemble_viscous_operator` returns its realification on
+(a, b, alpha, beta), whose spectrum is that of L together with the
+conjugates.  Every entry of L is even under the angular reflection
+n -> -n, so :func:`viscous_spectrum` solves L's two parity blocks, one on
+the even and one on the odd combinations of modes +n and -n, each about a
+quarter of the real matrix's size.
 """
 
 from __future__ import annotations
@@ -160,42 +165,27 @@ class ThetaProfilePair:
     b: np.ndarray
 
 
-def _bias_matrix_times(tau_breve: float, theta: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the 2x2 angular coupling matrix
-
-        [[-tau cos 2t,  cos t], [-cos t, -tau cos 2t]]
-
-    to a constant two-vector w, sampled on the theta grid."""
-    ct = np.cos(theta)
-    c2t = np.cos(2.0 * theta)
-    top = -tau_breve * c2t * w[0] + ct * w[1]
-    bot = -ct * w[0] - tau_breve * c2t * w[1]
-    return top, bot
-
-
 def inviscid_eigenfunction(
     rp: ReducedParams, mu0: float, w, n_theta: int
 ) -> ThetaProfilePair:
     """Closed-form eigenprofiles at a sigma = 0 root mu0.
 
-    A(theta) = chi_breve (mu_t Id - V)^{-1} B w with mu_t = mu0 + the
-    spatial damping shift, V the drift coupling, B the angular coupling
-    matrix; the resolvent is the explicit 2x2 inverse
+    With u = a + i b and the mean direction W = w_0 + i w_1, the drift is
+    multiplication by i lam cos t and the bias deposits
+    -chi_breve (tau cos 2t + i cos t) W, so pointwise
 
-        (mu_t Id - V)^{-1} = [[mu_t, -lam cos t], [lam cos t, mu_t]]
-                             / (mu_t^2 + lam^2 cos^2 t).
+        u(theta) = -chi_breve (tau cos 2t + i cos t) W / (mu_t - i lam cos t)
 
-    At an elliptic root the means reproduce w exactly.
+    with mu_t = mu0 + the spatial damping shift.  At an elliptic root the
+    means reproduce w exactly.
     """
     theta = TWO_PI * np.arange(n_theta) / n_theta
-    mu_t = mu0 + rp.sigma_x_breve
-    lam = rp.lambda_breve
     ct = np.cos(theta)
-    denom = mu_t * mu_t + lam * lam * ct * ct
-    top, bot = _bias_matrix_times(rp.tau_breve, theta, w)
-    a = rp.chi_breve * (mu_t * top - lam * ct * bot) / denom
-    b = rp.chi_breve * (lam * ct * top + mu_t * bot) / denom
-    return ThetaProfilePair(theta, a, b)
+    bias = rp.tau_breve * np.cos(2.0 * theta) + 1j * ct
+    u = -rp.chi_breve * bias * complex(w[0], w[1]) / (
+        mu0 + rp.sigma_x_breve - 1j * rp.lambda_breve * ct
+    )
+    return ThetaProfilePair(theta, u.real, u.imag)
 
 
 def viscous_eigenfunction(
@@ -203,41 +193,35 @@ def viscous_eigenfunction(
 ) -> ThetaProfilePair:
     """Eigenprofiles for sigma >= 0 via the truncated angular resolvent.
 
-    Solves ((mu + spatial shift) Id - sigma d^2/dtheta^2 - V)(a, b) =
-    chi_breve B w in the Fourier basis of size 2 (2 n_modes + 1) and
-    samples the result on the theta grid.  Matches the closed form at
-    sigma = 0.
+    Solves ((mu + spatial shift) Id - K) u = deposit (w_0 + i w_1) for the
+    complex profile u = a + i b over n = -N..N (K the kinetic block of
+    :func:`_kinetic_block`) and samples it on the theta grid.  The system
+    and the deposit are even in n, so u is a cosine series.  Matches the
+    closed form at sigma = 0.
     """
     n_modes = int(n_modes)
-    size = 2 * n_modes + 1
-    modes = np.arange(-n_modes, n_modes + 1)
     mat = _shifted(mu + rp.sigma_x_breve, _kinetic_block(n_modes, rp.sigma, rp.lambda_breve))
-    sol = np.linalg.solve(mat, _bias_deposits(rp, n_modes) @ np.asarray(w, dtype=float))
+    sol = np.linalg.solve(mat, _bias_deposits(rp, n_modes) * complex(w[0], w[1]))
 
     theta = TWO_PI * np.arange(n_theta) / n_theta
-    phases = np.exp(1j * np.outer(theta, modes))
-    a = (phases @ sol[:size]).real
-    b = (phases @ sol[size:]).real
-    return ThetaProfilePair(theta, a, b)
+    cosines = np.cos(np.outer(theta, np.arange(1, n_modes + 1)))
+    u = sol[n_modes] + 2.0 * cosines @ sol[n_modes + 1:]
+    return ThetaProfilePair(theta, u.real, u.imag)
 
 
 # --- truncated operators ---------------------------------------------------------
 
 
 def _kinetic_block(n_modes: int, sigma: float, lam: float) -> np.ndarray:
-    """Angular diffusion and drift on the (a, b) amplitudes, basis e^{i n theta}, n = -N..N.
+    """Angular diffusion and drift on u = a + i b, basis e^{i n theta}, n = -N..N.
 
-    Diagonal -sigma n^2 on both blocks; cos theta couples n to n +- 1 with
-    weight lam / 2, sign - on a rows (from b) and + on b rows (from a).
+    Diagonal -sigma n^2; the drift i lam cos theta couples n to n +- 1 with
+    weight i lam / 2.
     """
     modes = np.arange(-n_modes, n_modes + 1).astype(float)
-    size = modes.size
-    block = np.zeros((2 * size, 2 * size))
-    i = np.arange(size)
-    block[i, i] = block[size + i, size + i] = -sigma * modes**2
-    j = i[:-1]
-    block[j, size + j + 1] = block[j + 1, size + j] = -0.5 * lam
-    block[size + j, j + 1] = block[size + j + 1, j] = 0.5 * lam
+    block = np.diag((-sigma * modes**2).astype(complex))
+    i = np.arange(modes.size - 1)
+    block[i, i + 1] = block[i + 1, i] = 0.5j * lam
     return block
 
 
@@ -249,92 +233,88 @@ def _shifted(mu, block: np.ndarray) -> np.ndarray:
 
 
 def _bias_deposits(rp: ReducedParams, n_modes: int) -> np.ndarray:
-    """chi_breve B w in the angular basis, one column per mean direction w = e_0, e_1.
+    """The bias deposit -chi_breve (tau cos 2t + i cos t) per unit mean, n = -N..N.
 
-    B = [[-tau cos 2t, cos t], [-cos t, -tau cos 2t]]; cos t deposits 1/2 on
-    modes +-1 and cos 2t deposits 1/2 on modes +-2.
+    cos t deposits 1/2 on modes +-1 and cos 2t deposits 1/2 on modes +-2.
     """
     n_modes = int(n_modes)
     if n_modes < 4:
         raise ValueError(f"n_modes must be >= 4 to hold the deposit modes, got {n_modes}")
-    size = 2 * n_modes + 1
-    one = np.array([n_modes - 1, n_modes + 1])
-    two = np.array([n_modes - 2, n_modes + 2])
     half = 0.5 * rp.chi_breve
-    deposits = np.zeros((2 * size, 2))
-    deposits[one, 1] = half
-    deposits[size + one, 0] = -half
-    deposits[two, 0] = -half * rp.tau_breve
-    deposits[size + two, 1] = -half * rp.tau_breve
+    deposits = np.zeros(2 * n_modes + 1, dtype=complex)
+    deposits[[n_modes - 1, n_modes + 1]] = -1j * half
+    deposits[[n_modes - 2, n_modes + 2]] = -half * rp.tau_breve
     return deposits
+
+
+def _complex_operator(rp: ReducedParams, n_modes: int, coupling: Coupling) -> np.ndarray:
+    """The wavenumber-k linearization L on u over n = -N..N, plus C = alpha + i beta.
+
+    * angular diffusion and spatial damping: diagonal -sigma n^2 - sigma_x_breve
+    * drift: i lambda_breve / 2 on both off-diagonals
+    * mean coupling: the mean 2 pi u_0 feeds the bias deposits on modes
+      +-1 and +-2; for the parabolic coupling the deposits read the
+      chemical amplitude C instead, which relaxes at rate nu_breve driven
+      by the mean.
+
+    Each of these is even under n -> -n: the diagonal reads n^2, the drift
+    band has the same weight at every n, the deposits sit on +-1 and +-2
+    alike, and the mean reads n = 0.  So L commutes with the reflection,
+    and :func:`_parity_blocks` folds it on that symmetry.
+    """
+    n_modes = int(n_modes)
+    size = 2 * n_modes + 1
+    dim = size + (1 if coupling is Coupling.PARABOLIC else 0)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[:size, :size] = _kinetic_block(n_modes, rp.sigma, rp.lambda_breve)
+    mat[np.arange(size), np.arange(size)] -= rp.sigma_x_breve
+    deposits = _bias_deposits(rp, n_modes)
+    if coupling is Coupling.ELLIPTIC:
+        mat[:, n_modes] += TWO_PI * deposits
+    else:
+        mat[:size, size] = deposits
+        mat[size, n_modes] = TWO_PI
+        mat[size, size] = -rp.nu_breve
+    return mat
 
 
 def assemble_viscous_operator(
     rp: ReducedParams, n_modes: int, coupling: Coupling
 ) -> np.ndarray:
-    """Dense matrix of the wavenumber-k linearization in the angular basis.
+    """Dense real matrix of the wavenumber-k linearization in the angular basis.
 
-    Basis e^{i n theta}, n = -N..N, stacked as (a block, b block) and, for
-    the parabolic coupling, two trailing chemical amplitudes.  Contents:
-
-    * angular diffusion: diagonal -sigma n^2
-    * spatial damping:   diagonal -sigma_x_breve on the kinetic blocks
-    * drift coupling V:  cos theta couples n to n +- 1 with weight 1/2,
-      sign - on a rows (from b) and + on b rows (from a), times lambda_breve
-    * mean coupling:     the means read the n = 0 coefficients (x 2 pi) and
-      the angular matrix deposits on modes +-1 (cos t) and +-2 (cos 2t);
-      for the parabolic coupling the deposits read the chemical amplitudes
-      instead, which in turn relax at rate nu_breve driven by the means.
-
-    Each of these is even under n -> -n: the diagonal reads n^2, the drift
-    band has the same weight at every n, the deposits sit on +-1 and +-2
-    alike, and the means read n = 0.  So the matrix equals its copy with n
-    and -n swapped inside each block, bit for bit, and
-    :func:`_parity_blocks` folds it on that symmetry.
+    The realification [[Re L, -Im L], [Im L, Re L]] of the complex operator
+    L of :func:`_complex_operator`, reordered to the (a block, b block)
+    layout over n = -N..N and, for the parabolic coupling, the two trailing
+    chemical amplitudes (alpha, beta).  Its spectrum is that of L together
+    with the conjugates.
     """
     n_modes = int(n_modes)
     size = 2 * n_modes + 1
-    i0 = n_modes
-    dim = 2 * size + (2 if coupling is Coupling.PARABOLIC else 0)
-    mat = np.zeros((dim, dim))
-    kinetic = slice(0, 2 * size)
-    mat[kinetic, kinetic] = _kinetic_block(n_modes, rp.sigma, rp.lambda_breve)
-    mat[np.arange(2 * size), np.arange(2 * size)] -= rp.sigma_x_breve
-
-    deposits = _bias_deposits(rp, n_modes)
-    if coupling is Coupling.ELLIPTIC:
-        # deposits read the means 2 pi a_0, 2 pi b_0
-        mat[kinetic, [i0, size + i0]] += TWO_PI * deposits
-    else:
-        ia, ib = 2 * size, 2 * size + 1
-        mat[kinetic, [ia, ib]] = deposits
-        mat[ia, i0] = TWO_PI
-        mat[ib, size + i0] = TWO_PI
-        mat[ia, ia] = -rp.nu_breve
-        mat[ib, ib] = -rp.nu_breve
-    return mat
+    mat = _complex_operator(rp, n_modes, coupling)
+    dim = mat.shape[0]
+    real = np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
+    order = np.r_[0:size, dim:dim + size, size:dim, dim + size:2 * dim]
+    return real[np.ix_(order, order)]
 
 
 def _parity_blocks(matrix: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd blocks of a matrix that commutes with n -> -n.
 
-    ``matrix`` uses the layout of :func:`assemble_viscous_operator`: the
-    a and b blocks over n = -N..N, then any trailing chemical amplitudes.
-    Z holds the two n = 0 amplitudes and the chemical ones, + the n > 0
-    rows and - the n < 0 rows, paired n <-> -n.  In the orthonormal basis
-    of Z, (e_n + e_-n) / sqrt 2 and (e_n - e_-n) / sqrt 2 the matrix is
-    block diagonal:
+    ``matrix`` acts on modes n = -N..N followed by any chemical amplitude.
+    Z holds the n = 0 and chemical amplitudes, + the n > 0 rows and - the
+    n < 0 rows, paired n <-> -n.  In the orthonormal basis of Z,
+    (e_n + e_-n) / sqrt 2 and (e_n - e_-n) / sqrt 2 the matrix is block
+    diagonal:
 
         even = [[M_ZZ, sqrt2 M_Z+], [sqrt2 M_+Z, M_++ + M_+-]]
         odd  = M_++ - M_+-
 
     so the two blocks have the matrix's eigenvalues and singular values.
     """
-    size = 2 * n_modes + 1
-    pos = np.arange(n_modes + 1, size)
-    plus = np.concatenate([pos, size + pos])
-    minus = np.concatenate([2 * n_modes - pos, size + 2 * n_modes - pos])
-    zero = np.concatenate([[n_modes, size + n_modes], np.arange(2 * size, matrix.shape[0])])
+    plus = np.arange(n_modes + 1, 2 * n_modes + 1)
+    minus = n_modes - 1 - np.arange(n_modes)
+    zero = np.r_[n_modes, 2 * n_modes + 1:matrix.shape[0]]
     m_pp = matrix[np.ix_(plus, plus)]
     m_pm = matrix[np.ix_(plus, minus)]
     nz = zero.size
@@ -348,40 +328,41 @@ def _parity_blocks(matrix: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Spectrum of a truncated operator, sorted by descending real part."""
+    """Spectrum of a truncated operator, sorted by descending real part
+    (ties by descending imaginary part)."""
 
     eigenvalues: np.ndarray
     rightmost: complex
     multiplicity: int
-    cluster_tol: float
     sigma: float | None = None
 
 
-def rightmost_eigenvalues(*blocks: np.ndarray, cluster_tol: float | None = None) -> EigenSpectrum:
+def rightmost_eigenvalues(*blocks: np.ndarray) -> EigenSpectrum:
     """Dense spectrum of the direct sum of ``blocks``, with the rightmost
     eigenvalue and its cluster size.
 
-    ``cluster_tol`` defaults to 1e-8 (1 + |rightmost|); the multiplicity
-    counts eigenvalues within that distance of the rightmost one.
+    A complex block stands for its realification, so its eigenvalues are
+    listed together with their conjugates.  Eigenvalues are sorted by
+    descending real part, ties by descending imaginary part; the
+    multiplicity counts those within 1e-8 (1 + |rightmost|) of the
+    rightmost one.
     """
-    eigenvalues = np.concatenate([scipy.linalg.eig(block, right=False) for block in blocks])
-    order = np.argsort(-eigenvalues.real, kind="stable")
-    eigenvalues = eigenvalues[order]
+    parts = []
+    for block in blocks:
+        ev = scipy.linalg.eig(block, right=False)
+        parts += [ev, ev.conj()] if np.iscomplexobj(block) else [ev]
+    eigenvalues = np.concatenate(parts)
+    eigenvalues = eigenvalues[np.lexsort((-eigenvalues.imag, -eigenvalues.real))]
     rightmost = complex(eigenvalues[0])
-    if cluster_tol is None:
-        cluster_tol = 1.0e-8 * (1.0 + abs(rightmost))
+    cluster_tol = 1.0e-8 * (1.0 + abs(rightmost))
     multiplicity = int(np.sum(np.abs(eigenvalues - rightmost) <= cluster_tol))
-    return EigenSpectrum(
-        eigenvalues=eigenvalues,
-        rightmost=rightmost,
-        multiplicity=multiplicity,
-        cluster_tol=float(cluster_tol),
-    )
+    return EigenSpectrum(eigenvalues=eigenvalues, rightmost=rightmost, multiplicity=multiplicity)
 
 
 def viscous_spectrum(rp: ReducedParams, n_modes: int, coupling: Coupling) -> EigenSpectrum:
-    """Spectrum of :func:`assemble_viscous_operator`, from its two parity blocks."""
-    matrix = assemble_viscous_operator(rp, n_modes, coupling)
+    """Spectrum of :func:`assemble_viscous_operator`, from the two parity
+    blocks of the complex operator it realifies."""
+    matrix = _complex_operator(rp, n_modes, coupling)
     return rightmost_eigenvalues(*_parity_blocks(matrix, int(n_modes)))
 
 
@@ -408,10 +389,12 @@ def resolvent_norm_check(
     """Check ||(mu - sigma d^2/dtheta^2 - V)^{-1}|| <= 1 / Re(mu).
 
     The operator 2-norm of the truncated inverse is 1 over the smallest
-    singular value of the forward matrix, taken over its two parity blocks
-    (an orthonormal fold, so the singular values are the same set).  The
-    drift coupling V is skew in L^2, so the bound holds for every
-    truncation; ``ok`` allows ``slack``.
+    singular value of the forward matrix.  On the (a, b) pair that matrix
+    is unitarily equivalent to mu - K plus mu - conj(K), with K the complex
+    kinetic block; conj(K) = U K U^-1 for the unitary U = diag((-1)^n), so
+    mu - K alone has the same smallest singular value, taken over its two
+    parity blocks.  The drift coupling V is skew in L^2, so the bound holds
+    for every truncation; ``ok`` allows ``slack``.
     """
     mu = complex(mu)
     if mu.real <= 0.0:

@@ -101,8 +101,7 @@ class SpectralGrid:
     # derivative multipliers; odd order zeroes the Nyquist row
     def _zero_nyquist(self, modes, n):
         out = modes.astype(np.float64)
-        if n % 2 == 0:
-            out[np.abs(modes) == n // 2] = 0.0
+        out[np.abs(modes) == n // 2] = 0.0
         return out
 
     @cached_property
@@ -148,9 +147,7 @@ class SpectralGrid:
     @cached_property
     def half_weights(self):
         w = np.full(self.n_x2 // 2 + 1, 2.0)
-        w[0] = 1.0
-        if self.n_x2 % 2 == 0:
-            w[-1] = 1.0
+        w[0] = w[-1] = 1.0
         return w
 
     @cached_property

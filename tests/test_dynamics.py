@@ -18,6 +18,7 @@ from antkinetics.dynamics import (
     state_from_density,
     write_checkpoint,
 )
+from antkinetics.experiments import random_band_limited_state
 from antkinetics.params import Coupling, ModelParams
 from antkinetics.spectral import SpectralGrid, fft2, fft3, ifft2, ifft3
 
@@ -262,6 +263,38 @@ def test_positivity_monitor_flags_without_clipping(grid):
     result = run(state, StepperConfig(dt=1e-3), p, 0.002)
     assert result.positivity_flagged
     assert float(np.min(result.state.f_physical())) < 0.0
+
+
+def test_positivity_flag_checks_the_final_state(grid):
+    """One step from positive data that ends negative is flagged."""
+    p = params(chi=400.0)
+    state = random_band_limited_state(grid, p, np.random.default_rng(0), 4, 0.1)
+    assert float(np.min(state.f_physical())) > 0.0
+    with pytest.warns(RuntimeWarning, match="advisory CFL bound"):
+        result = run(state, StepperConfig(dt=0.2), p, 0.2)
+    assert result.n_steps == 1 and float(np.min(result.state.f_physical())) < 0.0
+    assert result.positivity_flagged and "positivity" in result.state.flags
+    assert state.flags == frozenset()
+
+
+@pytest.mark.parametrize("observe", [False, True])
+def test_final_positivity_check_costs_one_transform_at_most(monkeypatch, grid, observe):
+    """Every state is transformed once: the final check adds one transform
+    only when no observer has already asked for the final state's field."""
+    import antkinetics.dynamics as dynamics
+
+    calls = []
+
+    def counting_ifft3(*args):
+        calls.append(1)
+        return ifft3(*args)
+
+    monkeypatch.setattr(dynamics, "ifft3", counting_ifft3)
+    p = params()
+    state = homogeneous_state(grid, p)
+    observers = (PhaseState.f_physical,) if observe else ()
+    run(state, StepperConfig(dt=1e-3), p, 0.003, observers=observers)
+    assert len(calls) == 4 + 3  # states 0..3 once each, plus one ETDRK2 stage per step
 
 
 def test_non_finite_input_raises_named_error(grid):

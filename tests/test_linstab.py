@@ -256,11 +256,31 @@ class TestTruncatedOperator:
         assert np.array_equal(matrix, matrix[np.ix_(flip, flip)])
 
     @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
+    def test_operator_commutes_with_the_quarter_rotation(self, coupling):
+        """(a, b, alpha, beta) -> (-b, a, -beta, alpha) is u -> i u on u = a + i b:
+        the operator is complex-linear."""
+        rp = reduce_params(self.params(coupling), 2)
+        size = 2 * 16 + 1
+        matrix = assemble_viscous_operator(rp, 16, coupling)
+        chem = matrix.shape[0] > 2 * size
+        re = np.r_[0:size, [2 * size] if chem else []].astype(int)
+        im = np.r_[size:2 * size, [2 * size + 1] if chem else []].astype(int)
+        quarter = np.zeros_like(matrix)
+        quarter[im, re] = 1.0
+        quarter[re, im] = -1.0
+        assert rp.tau_breve > 0.0
+        assert np.array_equal(matrix @ quarter, quarter @ matrix)
+
+    @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("sigma_theta", [0.0, 0.02])
     @pytest.mark.parametrize("n_modes", [4, 64])
-    def test_parity_spectrum_matches_the_full_matrix(self, coupling, k, sigma_theta, n_modes):
-        rp = reduce_params(self.params(coupling).replace(sigma_theta=sigma_theta), k)
+    @pytest.mark.parametrize("chi", [6.0, 0.5])
+    def test_parity_spectrum_matches_the_full_matrix(self, coupling, k, sigma_theta, n_modes,
+                                                     chi):
+        """At n_modes = 64, chi = 0.5 leaves a complex, stable rightmost pair:
+        both sides list its +imag member first."""
+        rp = reduce_params(self.params(coupling).replace(sigma_theta=sigma_theta, chi=chi), k)
         full = rightmost_eigenvalues(assemble_viscous_operator(rp, n_modes, coupling))
         folded = viscous_spectrum(rp, n_modes, coupling)
         assert abs(folded.rightmost - full.rightmost) <= 1e-12 * (1.0 + abs(full.rightmost))
