@@ -42,7 +42,7 @@ from .linstab import (
     eigen_sweep,
     eigenfunction_field,
     find_unstable_root,
-    rotated_eigenfunction,
+    plane_wave,
     seed_profiles,
     viscous_spectrum,
 )
@@ -269,6 +269,11 @@ def bump_density(grid: SpectralGrid, l6_target: float, width: float = 0.08) -> n
     return 1.0 + 0.5 * (lo + hi) * bump
 
 
+def _real_unstable(mu: complex) -> bool:
+    """A positive rightmost eigenvalue whose imaginary part is eig round-off."""
+    return bool(mu.real > 0.0 and abs(mu.imag) <= 1.0e-10 * (1.0 + abs(mu.real)))
+
+
 def eigen_seed_states(
     cfg: ExperimentConfig, k: int, amplitude_rel: float, n_modes: int = 64
 ):
@@ -276,45 +281,33 @@ def eigen_seed_states(
 
     Returns (mu, [(name, state, seed_hat)]):  mu is the rightmost
     eigenvalue of the truncated wavenumber-k operator at the configured
-    viscosities; seeds are the two mean directions and their quarter-turn
-    images, each normalized to unit L^2 norm and scaled by
-    amplitude_rel * ||uniform state||; seed_hat is ``fft3`` of the unscaled
-    seed field.  For stable or oscillatory rightmost eigenvalues the
-    profiles are built at a safe positive rate instead (any smooth seed
-    decays there).
+    viscosities; seeds are the modes for the means W = 1 and W = i (the
+    profile u and i u) and their quarter-turn images, each normalized to
+    unit L^2 norm and scaled by amplitude_rel * ||uniform state||; seed_hat
+    is ``fft3`` of the unscaled seed field.  For stable or oscillatory
+    rightmost eigenvalues the profiles are built at a safe positive rate
+    instead (any smooth seed decays there).
     """
     params, grid = cfg.params, cfg.grid
     rp = reduce_params(params, k)
     spectrum = viscous_spectrum(rp, n_modes, params.coupling)
     mu = spectrum.rightmost
-    if mu.real > 0.0 and abs(mu.imag) <= 1.0e-10 * (1.0 + abs(mu.real)):
-        mu_build = float(mu.real)
-    else:
-        mu_build = abs(mu) + 1.0
-    profiles = seed_profiles(rp, params.coupling, mu_build, grid.n_theta, n_modes)
+    mu_build = float(mu.real) if _real_unstable(mu) else abs(mu) + 1.0
+    u, chem = seed_profiles(rp, params.coupling, mu_build, grid.n_theta, n_modes)
 
     f_star_norm = 1.0 / math.sqrt(TWO_PI)
     eps = amplitude_rel * f_star_norm
     seeds = []
-    for label, (pair, chem) in zip(("w1", "w2"), profiles):
+    for label, w in (("w1", 1.0), ("w2", 1j)):
         for rotated in (False, True):
-            if rotated:
-                field3 = rotated_eigenfunction(pair, grid, k)
-            else:
-                field3 = eigenfunction_field(pair, grid, k)
+            field3 = eigenfunction_field(w * u, grid, k, rotated)
             f_hat = fft3(field3)
-            norm = l2_norm3_hat(f_hat, grid)
-            scale = eps / norm
+            scale = eps / l2_norm3_hat(f_hat, grid)
             f = (1.0 / TWO_PI) + scale * field3
             c_values = None
             if chem is not None:
-                alpha, beta = chem
-                z = TWO_PI * k * (grid.x2 if rotated else grid.x1)
-                c_pert = alpha * np.cos(z) + beta * np.sin(z)
-                axis_shape = (1, -1) if rotated else (-1, 1)
-                c_values = 1.0 / params.gamma + scale * c_pert.reshape(axis_shape) * np.ones(
-                    grid.shape_phys2
-                )
+                c_pert = plane_wave(w * chem, grid, k, along_x2=rotated)
+                c_values = 1.0 / params.gamma + scale * c_pert
             state = state_from_density(grid, params, f, c_values=c_values)
             seeds.append((label + ("_rot" if rotated else ""), state, f_hat))
     return spectrum, seeds
@@ -405,6 +398,8 @@ def _scan_row(args):
 
 def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -> dict:
     """Margins, roots, and truncated-operator eigenvalues for k = 1..k_max."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     jobs = [(cfg.params, k, n_modes) for k in range(1, k_max + 1)]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
@@ -453,7 +448,7 @@ def run_growth_match(
     params, grid, stepper = cfg.params, cfg.grid, cfg.stepper
     spectrum, seeds = eigen_seed_states(cfg, k, amplitude_rel, n_modes)
     mu = spectrum.rightmost
-    unstable = bool(mu.real > 0.0 and abs(mu.imag) <= 1.0e-10 * (1.0 + abs(mu.real)))
+    unstable = _real_unstable(mu)
 
     if t_end is None:
         if unstable:

@@ -27,6 +27,11 @@ conjugates.  Every entry of L is even under the angular reflection
 n -> -n, so :func:`viscous_spectrum` solves L's two parity blocks, one on
 the even and one on the odd combinations of modes +n and -n, each about a
 quarter of the real matrix's size.
+
+Growth-match seeds come from one eigenmode, solved once for the mean W = 1
+(:func:`seed_profiles`): the profile u and amplitude C.  The other seeds
+are its images under u -> i u (the mean W = i) and under the quarter turn
+of space and orientation, which commutes with the dynamics.
 """
 
 from __future__ import annotations
@@ -156,57 +161,41 @@ def find_unstable_root(rp: ReducedParams, coupling: Coupling):
 # --- eigenfunctions --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaProfilePair:
-    """Angular profiles (a, b) sampled on a uniform theta grid."""
+def inviscid_eigenfunction(rp: ReducedParams, mu0: float, n_theta: int) -> np.ndarray:
+    """Closed-form eigenprofile u = a + i b at a sigma = 0 root mu0, for the mean W = 1.
 
-    theta: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    The drift is multiplication by i lam cos t and the bias deposits
+    -chi_breve (tau cos 2t + i cos t) per unit mean, so pointwise
 
+        u(theta) = -chi_breve (tau cos 2t + i cos t) / (mu_t - i lam cos t)
 
-def inviscid_eigenfunction(
-    rp: ReducedParams, mu0: float, w, n_theta: int
-) -> ThetaProfilePair:
-    """Closed-form eigenprofiles at a sigma = 0 root mu0.
-
-    With u = a + i b and the mean direction W = w_0 + i w_1, the drift is
-    multiplication by i lam cos t and the bias deposits
-    -chi_breve (tau cos 2t + i cos t) W, so pointwise
-
-        u(theta) = -chi_breve (tau cos 2t + i cos t) W / (mu_t - i lam cos t)
-
-    with mu_t = mu0 + the spatial damping shift.  At an elliptic root the
-    means reproduce w exactly.
+    with mu_t = mu0 + the spatial damping shift, sampled on the uniform grid
+    theta_j = 2 pi j / n_theta.  At an elliptic root the mean of u is 1.
     """
     theta = TWO_PI * np.arange(n_theta) / n_theta
     ct = np.cos(theta)
     bias = rp.tau_breve * np.cos(2.0 * theta) + 1j * ct
-    u = -rp.chi_breve * bias * complex(w[0], w[1]) / (
-        mu0 + rp.sigma_x_breve - 1j * rp.lambda_breve * ct
-    )
-    return ThetaProfilePair(theta, u.real, u.imag)
+    return -rp.chi_breve * bias / (mu0 + rp.sigma_x_breve - 1j * rp.lambda_breve * ct)
 
 
 def viscous_eigenfunction(
-    rp: ReducedParams, mu: float, w, n_theta: int, n_modes: int = 64
-) -> ThetaProfilePair:
-    """Eigenprofiles for sigma >= 0 via the truncated angular resolvent.
+    rp: ReducedParams, mu: float, n_theta: int, n_modes: int = 64
+) -> np.ndarray:
+    """Eigenprofile u = a + i b for sigma >= 0 via the truncated angular resolvent.
 
-    Solves ((mu + spatial shift) Id - K) u = deposit (w_0 + i w_1) for the
-    complex profile u = a + i b over n = -N..N (K the kinetic block of
-    :func:`_kinetic_block`) and samples it on the theta grid.  The system
-    and the deposit are even in n, so u is a cosine series.  Matches the
-    closed form at sigma = 0.
+    Solves ((mu + spatial shift) Id - K) u = deposit for u over n = -N..N
+    (K the kinetic block of :func:`_kinetic_block`, the deposit that of the
+    mean W = 1) and samples it on the uniform theta grid.  The system and
+    the deposit are even in n, so u is a cosine series.  Matches the closed
+    form at sigma = 0.
     """
     n_modes = int(n_modes)
     mat = _shifted(mu + rp.sigma_x_breve, _kinetic_block(n_modes, rp.sigma, rp.lambda_breve))
-    sol = np.linalg.solve(mat, _bias_deposits(rp, n_modes) * complex(w[0], w[1]))
+    sol = np.linalg.solve(mat, _bias_deposits(rp, n_modes))
 
     theta = TWO_PI * np.arange(n_theta) / n_theta
     cosines = np.cos(np.outer(theta, np.arange(1, n_modes + 1)))
-    u = sol[n_modes] + 2.0 * cosines @ sol[n_modes + 1:]
-    return ThetaProfilePair(theta, u.real, u.imag)
+    return sol[n_modes] + 2.0 * cosines @ sol[n_modes + 1:]
 
 
 # --- truncated operators ---------------------------------------------------------
@@ -417,36 +406,35 @@ def _require_quarter_turn(n_theta: int) -> None:
         raise ValueError(f"quarter-turn rotation needs n_theta divisible by 4, got {n_theta}")
 
 
-def eigenfunction_field(pair: ThetaProfilePair, grid: SpectralGrid, k: int) -> np.ndarray:
-    """Expand profiles on wavenumber k along x1:  a cos(2 pi k x1) + b sin."""
-    if len(pair.theta) != grid.n_theta:
-        raise ValueError("profile theta resolution does not match the grid")
-    z = TWO_PI * k * grid.x1
-    values = (
-        np.cos(z)[:, None, None] * pair.a[None, None, :]
-        + np.sin(z)[:, None, None] * pair.b[None, None, :]
-    )
-    return np.broadcast_to(values, grid.shape_phys3).copy()
+def plane_wave(amplitude, grid: SpectralGrid, k: int, along_x2: bool = False) -> np.ndarray:
+    """Re(A) cos z + Im(A) sin z over the spatial grid, z = 2 pi k x1 (x2 with ``along_x2``).
 
-
-def rotated_eigenfunction(pair: ThetaProfilePair, grid: SpectralGrid, k: int) -> np.ndarray:
-    """The quarter-turn image f(x2, -x1, theta - pi/2) of the expanded profiles.
-
-    A rotation by +pi/2 in both space and orientation commutes with the
-    dynamics, so this is again an eigenfunction at the same rate; the
-    expanded profiles depend on x1 only, hence the image reads the shifted
-    profiles on wavenumber k along x2.
+    A is a complex amplitude or a profile of them; its axes follow the two
+    spatial ones, so a profile over theta gives a phase-space field.
     """
-    _require_quarter_turn(grid.n_theta)
-    shift = grid.n_theta // 4
-    a = np.roll(pair.a, shift)
-    b = np.roll(pair.b, shift)
-    z = TWO_PI * k * grid.x2
-    values = (
-        np.cos(z)[None, :, None] * a[None, None, :]
-        + np.sin(z)[None, :, None] * b[None, None, :]
-    )
-    return np.broadcast_to(values, grid.shape_phys3).copy()
+    amplitude = np.asarray(amplitude)
+    z = TWO_PI * k * (grid.x2 if along_x2 else grid.x1)
+    shape = ((1, -1) if along_x2 else (-1, 1)) + (1,) * amplitude.ndim
+    values = np.cos(z).reshape(shape) * amplitude.real + np.sin(z).reshape(shape) * amplitude.imag
+    return np.broadcast_to(values, grid.shape_phys2 + amplitude.shape).copy()
+
+
+def eigenfunction_field(
+    u: np.ndarray, grid: SpectralGrid, k: int, rotated: bool = False
+) -> np.ndarray:
+    """The profile u = a + i b on wavenumber k along x1:  a cos(2 pi k x1) + b sin.
+
+    With ``rotated``, its quarter-turn image f(x2, -x1, theta - pi/2)
+    instead: the profile shifted by a quarter turn, on wavenumber k along
+    x2.  A rotation by +pi/2 in both space and orientation commutes with
+    the dynamics, so the image is again an eigenfunction at the same rate.
+    """
+    if len(u) != grid.n_theta:
+        raise ValueError("profile theta resolution does not match the grid")
+    if rotated:
+        _require_quarter_turn(grid.n_theta)
+        u = np.roll(u, grid.n_theta // 4)
+    return plane_wave(u, grid, k, along_x2=rotated)
 
 
 def rotate_field_quarter(values: np.ndarray) -> np.ndarray:
@@ -463,22 +451,19 @@ def rotate_field_quarter(values: np.ndarray) -> np.ndarray:
 def seed_profiles(
     rp: ReducedParams, coupling: Coupling, mu: float, n_theta: int, n_modes: int = 64
 ):
-    """Profiles for the two independent mean directions at eigenvalue mu.
+    """The eigenmode at eigenvalue mu for the mean W = 1, as (u, C).
 
-    Returns [(pair, chem)] for w = (1, 0) and w = (0, 1); ``chem`` is the
-    chemical amplitude pair (alpha, beta) for the parabolic coupling and
-    None for the elliptic one (where the chemical is slaved).
+    u = a + i b is the profile on the uniform theta grid and C the chemical
+    amplitude alpha + i beta for the parabolic coupling, None for the
+    elliptic one (where the chemical is slaved).  The linearization is
+    complex-linear, so the mode for the mean W = i is (i u, i C).
     """
-    out = []
-    for w in ((1.0, 0.0), (0.0, 1.0)):
-        if rp.sigma == 0.0:
-            pair = inviscid_eigenfunction(rp, mu, w, n_theta)
-        else:
-            pair = viscous_eigenfunction(rp, mu, w, n_theta, n_modes)
-        if coupling is Coupling.PARABOLIC:
-            scale = mu + rp.nu_breve
-            pair = ThetaProfilePair(pair.theta, pair.a / scale, pair.b / scale)
-            out.append((pair, (w[0] / scale, w[1] / scale)))
-        else:
-            out.append((pair, None))
-    return out
+    if rp.sigma == 0.0:
+        u = inviscid_eigenfunction(rp, mu, n_theta)
+    else:
+        u = viscous_eigenfunction(rp, mu, n_theta, n_modes)
+    if coupling is Coupling.ELLIPTIC:
+        return u, None
+    scale = mu + rp.nu_breve
+    # part by part: a complex array over a real one multiplies by the reciprocal
+    return u.real / scale + 1j * (u.imag / scale), 1.0 / scale

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 TWO_PI = 2.0 * math.pi
@@ -122,15 +122,10 @@ class ReducedParams:
     sigma: float
 
     def with_sigma(self, sigma: float) -> "ReducedParams":
-        return ReducedParams(
-            k=self.k,
-            chi_breve=self.chi_breve,
-            tau_breve=self.tau_breve,
-            lambda_breve=self.lambda_breve,
-            sigma_x_breve=self.sigma_x_breve,
-            nu_breve=self.nu_breve,
-            sigma=float(sigma),
-        )
+        sigma = float(sigma)
+        if not math.isfinite(sigma) or sigma < 0.0:
+            raise ValueError(f"sigma must be a finite nonnegative real, got {sigma}")
+        return replace(self, sigma=sigma)
 
 
 def reduce_params(params: ModelParams, k: int, coupling: Coupling | None = None) -> ReducedParams:
@@ -192,7 +187,7 @@ def inviscid_threshold_chi(params: ModelParams, k: int) -> float:
 def most_unstable_k(params: ModelParams, k_max: int) -> int:
     """Wavenumber in 1..k_max with the lowest inviscid chi threshold."""
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     return min(range(1, k_max + 1), key=lambda k: inviscid_threshold_chi(params, k))
 
 

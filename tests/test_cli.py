@@ -83,6 +83,27 @@ class TestErrors:
         assert code == 1
         assert "a:b:n" in err
 
+    @pytest.mark.parametrize("sweep, named", [("-0.5:0:2", "-0.5"), ("nan", "nan")])
+    def test_sigma_sweep_value_must_be_finite_and_nonnegative(
+        self, config, capsys, sweep, named
+    ):
+        code, out, err = run_cli(
+            ["eigen", "--k", "1", f"--sigma-sweep={sweep}", "--n-modes", "8", "--config", config],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: sigma must be a finite nonnegative real")
+        assert f"got {named}" in err
+
+    def test_scan_needs_a_wavenumber(self, config, tmp_path, capsys):
+        out_dir = tmp_path / "scan"
+        code, out, err = run_cli(
+            ["scan", "--k-max", "0", "--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 1 and out == ""
+        assert "k_max must be >= 1, got 0" in err
+        assert not out_dir.exists()
+
 
 class TestDispersion:
     def test_flags_work_on_both_sides_of_the_subcommand(self, config, capsys):

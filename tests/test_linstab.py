@@ -15,7 +15,6 @@ from antkinetics.linstab import (
     resolvent_norm_check,
     rightmost_eigenvalues,
     rotate_field_quarter,
-    rotated_eigenfunction,
     seed_profiles,
     viscous_eigenfunction,
     viscous_spectrum,
@@ -29,6 +28,11 @@ TWO_PI = 2.0 * math.pi
 def mean(profile):
     """Integral of an angular profile over [0, 2 pi]."""
     return float(np.mean(profile) * TWO_PI)
+
+
+def thetas(n_theta):
+    """The uniform theta grid the eigenprofiles are sampled on."""
+    return TWO_PI * np.arange(n_theta) / n_theta
 
 
 def rp_inviscid(chi_breve, tau_breve=0.0, lambda_breve=TWO_PI, sigma_x_breve=0.0,
@@ -136,63 +140,62 @@ class TestUnstableRoot:
 
 class TestEigenfunctions:
     def test_inviscid_closed_form(self):
-        """tau = 0, w = (1, 0): a = chi lb cos^2 / D and b = -chi mu cos / D."""
+        """tau = 0, W = 1: a = chi lb cos^2 / D and b = -chi mu cos / D."""
         rp = rp_inviscid(2.0)
         mu = 2.0 * math.pi / math.sqrt(3.0)
-        pair = inviscid_eigenfunction(rp, mu, (1.0, 0.0), 64)
-        th = pair.theta
+        u = inviscid_eigenfunction(rp, mu, 64)
+        th = thetas(64)
         D = mu**2 + rp.lambda_breve**2 * np.cos(th) ** 2
         np.testing.assert_allclose(
-            pair.a, rp.chi_breve * rp.lambda_breve * np.cos(th) ** 2 / D, atol=1e-12
+            u.real, rp.chi_breve * rp.lambda_breve * np.cos(th) ** 2 / D, atol=1e-12
         )
         np.testing.assert_allclose(
-            pair.b, -rp.chi_breve * mu * np.cos(th) / D, atol=1e-12
+            u.imag, -rp.chi_breve * mu * np.cos(th) / D, atol=1e-12
         )
 
     @pytest.mark.parametrize("tau_breve", [0.0, 1.2])
-    @pytest.mark.parametrize("w", [(1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("w", [1.0, 1j])
     def test_inviscid_pointwise_resolvent_identity(self, tau_breve, w):
-        """(mu_t I - V(theta)) A(theta) = chi B(theta) w holds pointwise."""
+        """(mu_t I - V(theta)) A(theta) = chi B(theta) W holds pointwise for W u."""
         rp = rp_inviscid(2.0, tau_breve=tau_breve, sigma_x_breve=0.3)
         root = find_unstable_root(rp, Coupling.ELLIPTIC)
-        pair = inviscid_eigenfunction(rp, root.mu0, w, 128)
-        th = pair.theta
+        u = w * inviscid_eigenfunction(rp, root.mu0, 128)
+        th = thetas(128)
         mu_t = root.mu0 + rp.sigma_x_breve
         lc = rp.lambda_breve * np.cos(th)
-        lhs1 = mu_t * pair.a + lc * pair.b
-        lhs2 = -lc * pair.a + mu_t * pair.b
+        lhs1 = mu_t * u.real + lc * u.imag
+        lhs2 = -lc * u.real + mu_t * u.imag
         b11 = -tau_breve * np.cos(2 * th)
-        rhs1 = rp.chi_breve * (b11 * w[0] + np.cos(th) * w[1])
-        rhs2 = rp.chi_breve * (-np.cos(th) * w[0] + b11 * w[1])
+        rhs1 = rp.chi_breve * (b11 * w.real + np.cos(th) * w.imag)
+        rhs2 = rp.chi_breve * (-np.cos(th) * w.real + b11 * w.imag)
         np.testing.assert_allclose(lhs1, rhs1, atol=1e-10)
         np.testing.assert_allclose(lhs2, rhs2, atol=1e-10)
 
-    @pytest.mark.parametrize("w", [(1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("w", [1.0, 1j])
     def test_means_reproduce_the_seed_direction(self, w):
         rp = rp_inviscid(2.0, tau_breve=0.6)
         root = find_unstable_root(rp, Coupling.ELLIPTIC)
-        pair = inviscid_eigenfunction(rp, root.mu0, w, 256)
-        assert mean(pair.a) == pytest.approx(w[0], abs=1e-10)
-        assert mean(pair.b) == pytest.approx(w[1], abs=1e-10)
+        u = w * inviscid_eigenfunction(rp, root.mu0, 256)
+        assert mean(u.real) == pytest.approx(w.real, abs=1e-10)
+        assert mean(u.imag) == pytest.approx(w.imag, abs=1e-10)
 
     def test_viscous_means_and_truncation_stability(self):
         rp = rp_inviscid(2.0, sigma=0.05)
         matrix = assemble_viscous_operator(rp, 64, Coupling.ELLIPTIC)
         mu = rightmost_eigenvalues(matrix).rightmost.real
-        pair64 = viscous_eigenfunction(rp, mu, (1.0, 0.0), 128, n_modes=64)
-        pair96 = viscous_eigenfunction(rp, mu, (1.0, 0.0), 128, n_modes=96)
-        assert mean(pair64.a) == pytest.approx(1.0, abs=1e-10)
-        assert mean(pair64.b) == pytest.approx(0.0, abs=1e-10)
-        np.testing.assert_allclose(pair64.a, pair96.a, atol=1e-10)
+        u64 = viscous_eigenfunction(rp, mu, 128, n_modes=64)
+        u96 = viscous_eigenfunction(rp, mu, 128, n_modes=96)
+        assert mean(u64.real) == pytest.approx(1.0, abs=1e-10)
+        assert mean(u64.imag) == pytest.approx(0.0, abs=1e-10)
+        np.testing.assert_allclose(u64.real, u96.real, atol=1e-10)
 
     def test_viscous_reduces_to_inviscid(self):
         rp0 = rp_inviscid(2.0)
         mu = find_unstable_root(rp0, Coupling.ELLIPTIC).mu0
-        inv = inviscid_eigenfunction(rp0, mu, (1.0, 0.0), 64)
-        tiny = viscous_eigenfunction(rp_inviscid(2.0, sigma=1e-9), mu, (1.0, 0.0), 64,
-                                     n_modes=96)
-        np.testing.assert_allclose(tiny.a, inv.a, atol=1e-6)
-        np.testing.assert_allclose(tiny.b, inv.b, atol=1e-6)
+        inv = inviscid_eigenfunction(rp0, mu, 64)
+        tiny = viscous_eigenfunction(rp_inviscid(2.0, sigma=1e-9), mu, 64, n_modes=96)
+        np.testing.assert_allclose(tiny.real, inv.real, atol=1e-6)
+        np.testing.assert_allclose(tiny.imag, inv.imag, atol=1e-6)
 
 
 class TestTruncatedOperator:
@@ -326,33 +329,32 @@ class TestRotations:
     def test_quarter_turn_needs_divisible_grid(self):
         grid = SpectralGrid(12, 12, 10)
         rp = rp_inviscid(2.0)
-        pair = inviscid_eigenfunction(rp, 1.0, (1.0, 0.0), 10)
+        u = inviscid_eigenfunction(rp, 1.0, 10)
         with pytest.raises(ValueError):
-            rotated_eigenfunction(pair, grid, 1)
+            eigenfunction_field(u, grid, 1, rotated=True)
 
     def test_rotation_consistency_and_period(self):
         grid = SpectralGrid(16, 16, 16)
         rp = rp_inviscid(2.0)
         mu = find_unstable_root(rp, Coupling.ELLIPTIC).mu0
-        pair = inviscid_eigenfunction(rp, mu, (1.0, 0.0), 16)
-        direct = rotated_eigenfunction(pair, grid, 1)
-        via_field = rotate_field_quarter(eigenfunction_field(pair, grid, 1))
+        u = inviscid_eigenfunction(rp, mu, 16)
+        direct = eigenfunction_field(u, grid, 1, rotated=True)
+        via_field = rotate_field_quarter(eigenfunction_field(u, grid, 1))
         np.testing.assert_allclose(direct, via_field, atol=1e-12)
-        field = eigenfunction_field(pair, grid, 1)
+        field = eigenfunction_field(u, grid, 1)
         turned = field
         for _ in range(4):
             turned = rotate_field_quarter(turned)
         np.testing.assert_allclose(turned, field, atol=1e-12)
 
     def test_seed_profiles_scale_parabolic_chemical(self):
-        """Parabolic eigenvector: kinetic means w, chemical means w / (mu + nu)."""
+        """Parabolic eigenvector: kinetic mean W, chemical amplitude W / (mu + nu),
+        for W = 1 as returned and W = i as (i u, i C)."""
         rp = rp_inviscid(2.0, nu_breve=1.0)
         mu = find_unstable_root(rp, Coupling.PARABOLIC).mu0
-        profiles = seed_profiles(rp, Coupling.PARABOLIC, mu, 256)
-        (pair1, chem1), (pair2, chem2) = profiles
+        u, chem = seed_profiles(rp, Coupling.PARABOLIC, mu, 256)
         scale = mu + rp.nu_breve
-        assert chem1 == pytest.approx((1.0 / scale, 0.0))
-        assert chem2 == pytest.approx((0.0, 1.0 / scale))
-        assert mean(pair1.a) == pytest.approx(1.0, abs=1e-8)
-        assert mean(pair1.b) == pytest.approx(0.0, abs=1e-8)
-        assert mean(pair2.b) == pytest.approx(1.0, abs=1e-8)
+        for w in (1.0, 1j):
+            assert w * chem == pytest.approx(w / scale)
+            assert mean((w * u).real) == pytest.approx(w.real, abs=1e-8)
+            assert mean((w * u).imag) == pytest.approx(w.imag, abs=1e-8)

@@ -1,11 +1,15 @@
-"""The package's public surface: ``__all__`` and the README library example."""
+"""The package's public surface: ``__all__``, the README library example and
+the names the benchmark traces."""
 
+import importlib.util
 import pathlib
 import re
 
 import antkinetics
+import antkinetics.cli  # noqa: F401  (loads every module the traced names live in)
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +26,18 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(blocks[0], namespace)
     assert namespace["root"].mu0 > 0.0
+
+
+def test_every_traced_name_resolves():
+    """perfbench wraps each ``TARGETS`` entry and stops on a name that is gone."""
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for dotted_names in tracing.TARGETS.values():
+        for dotted in (dotted_names,) if isinstance(dotted_names, str) else dotted_names:
+            owner, attr = tracing._resolve(dotted)
+            if not callable(getattr(owner, attr, None)):
+                missing.append(dotted)
+    assert missing == []
