@@ -39,6 +39,7 @@ from .dynamics import (
 )
 from .linstab import (
     DispersionResult,
+    check_n_modes,
     eigen_sweep,
     eigenfunction_field,
     find_unstable_root,
@@ -182,17 +183,17 @@ def write_outputs(cfg: ExperimentConfig, name: str, columns, rows, result=None) 
     Writes the manifest, ``<name>.csv`` from ``columns`` and the dict
     ``rows``, and ``result`` as ``<name>.json`` when given.  With
     ``columns=None`` the rows are observable records, written to
-    ``<name>.ndjson`` and ``<name>.csv``.
+    ``<name>.ndjson`` and ``<name>.csv``; ``rows=None`` writes no table.
     """
     if not cfg.out_dir:
         return
     write_manifest(cfg)
     stem = os.path.join(cfg.out_dir, name)
-    if columns is None:
+    if columns is not None:
+        write_table(stem + ".csv", columns, rows)
+    elif rows is not None:
         write_ndjson(stem + ".ndjson", rows)
         write_records_csv(stem + ".csv", rows)
-    else:
-        write_table(stem + ".csv", columns, rows)
     if result is not None:
         with open(stem + ".json", "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2)
@@ -400,6 +401,7 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
     """Margins, roots, and truncated-operator eigenvalues for k = 1..k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    n_modes = check_n_modes(n_modes)
     jobs = [(cfg.params, k, n_modes) for k in range(1, k_max + 1)]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
@@ -661,7 +663,8 @@ def run_simulate(
     The samples up to the first one holding a non-finite value are written
     as NDJSON and CSV when the run ends or fails; a run that ends with such
     a sample then raises, naming its time.  A resume must step past the
-    checkpoint's time.
+    checkpoint's time.  The returned summary, flags included, is also
+    written as ``simulate.json``.
     """
     state = initial_state(cfg, init)
     include_initial = state.step == 0
@@ -696,7 +699,7 @@ def run_simulate(
             f"the {len(clean)} samples before it were written"
         )
     final = collector.records[-1]
-    return {
+    summary = {
         "t": result.state.t,
         "n_steps": result.n_steps,
         "mass": final.mass,
@@ -707,3 +710,5 @@ def run_simulate(
         "positivity_flagged": result.positivity_flagged,
         "records": len(collector.records),
     }
+    write_outputs(cfg, "simulate", None, None, result=summary)
+    return summary

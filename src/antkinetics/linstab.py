@@ -221,14 +221,20 @@ def _shifted(mu, block: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_n_modes(n_modes) -> int:
+    """``n_modes`` as an int, refused when too few to hold the deposit modes."""
+    n_modes = int(n_modes)
+    if n_modes < 4:
+        raise ValueError(f"n_modes must be >= 4 to hold the deposit modes, got {n_modes}")
+    return n_modes
+
+
 def _bias_deposits(rp: ReducedParams, n_modes: int) -> np.ndarray:
     """The bias deposit -chi_breve (tau cos 2t + i cos t) per unit mean, n = -N..N.
 
     cos t deposits 1/2 on modes +-1 and cos 2t deposits 1/2 on modes +-2.
     """
-    n_modes = int(n_modes)
-    if n_modes < 4:
-        raise ValueError(f"n_modes must be >= 4 to hold the deposit modes, got {n_modes}")
+    n_modes = check_n_modes(n_modes)
     half = 0.5 * rp.chi_breve
     deposits = np.zeros(2 * n_modes + 1, dtype=complex)
     deposits[[n_modes - 1, n_modes + 1]] = -1j * half

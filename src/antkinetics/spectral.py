@@ -169,13 +169,36 @@ class SpectralGrid:
 # --- raw transforms -------------------------------------------------------------
 
 
-def fft3(values):
-    """Forward transform of an (x1, x2, theta) array; x2 is the half axis."""
-    return _fft.rfftn(values, axes=(2, 0, 1))
+def fft3(values, out=None):
+    """Forward transform of an (x1, x2, theta) array; x2 is the half axis.
+
+    Without ``out`` scipy's ``rfftn`` allocates the result.  With it,
+    numpy's 1-D transforms write into ``out`` in the order ``rfftn`` takes
+    (real-to-complex along x2, then theta, then x1), which gives the same
+    bits.
+    """
+    if out is None:
+        return _fft.rfftn(values, axes=(2, 0, 1))
+    np.fft.rfft(values, axis=1, out=out)
+    np.fft.fft(out, axis=2, out=out)
+    return np.fft.fft(out, axis=0, out=out)
 
 
-def ifft3(coeffs, grid: SpectralGrid):
-    return _fft.irfftn(coeffs, s=(grid.n_theta, grid.n_x1, grid.n_x2), axes=(2, 0, 1))
+def ifft3(coeffs, grid: SpectralGrid, out=None, work=None):
+    """Inverse of :func:`fft3`; ``coeffs`` is never written.
+
+    Without ``out`` and ``work`` scipy's ``irfftn`` allocates the result.
+    With either, numpy's 1-D transforms run in ``irfftn``'s order: unscaled
+    along theta, then x1, into the complex ``work``; complex-to-real along
+    x2 into ``out``; then the one 1/N scale.  That gives the same bits.
+    """
+    if out is None and work is None:
+        return _fft.irfftn(coeffs, s=(grid.n_theta, grid.n_x1, grid.n_x2), axes=(2, 0, 1))
+    work = np.fft.ifft(coeffs, axis=2, norm="forward", out=work)
+    np.fft.ifft(work, axis=0, norm="forward", out=work)
+    out = np.fft.irfft(work, n=grid.n_x2, axis=1, norm="forward", out=out)
+    out *= 1.0 / (grid.n_x1 * grid.n_x2 * grid.n_theta)
+    return out
 
 
 def fft2(values):
@@ -211,21 +234,20 @@ def turning_bias_parts(c_hat, grid: SpectralGrid, tau: float):
     return g1, g2, 0.5 * tau * (c22 - c11), tau * c12
 
 
-def expand_bias(parts, grid: SpectralGrid):
+def expand_bias(parts, grid: SpectralGrid, out=None, work=None):
     """The phase-space field -sin(theta) a + cos(theta) b + sin(2 theta) s + cos(2 theta) r.
 
     With ``parts = (g1, g2, s, r)`` from :func:`turning_bias_parts` this is
     the turning bias B; with the rotated parts ``(g2, -g1, -2 r, 2 s)`` it
-    is the angular derivative d_theta B.
+    is the angular derivative d_theta B.  The terms are summed left to
+    right, into ``out`` when given, each formed in ``work`` when given.
     """
     a, b, s, r = parts
     th = grid.theta
-    return (
-        -np.sin(th)[None, None, :] * a[:, :, None]
-        + np.cos(th)[None, None, :] * b[:, :, None]
-        + np.sin(2.0 * th)[None, None, :] * s[:, :, None]
-        + np.cos(2.0 * th)[None, None, :] * r[:, :, None]
-    )
+    out = np.multiply(-np.sin(th)[None, None, :], a[:, :, None], out=out)
+    for wave, part in ((np.cos(th), b), (np.sin(2.0 * th), s), (np.cos(2.0 * th), r)):
+        out += np.multiply(wave[None, None, :], part[:, :, None], out=work)
+    return out
 
 
 # --- norms ----------------------------------------------------------------------

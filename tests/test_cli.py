@@ -104,6 +104,19 @@ class TestErrors:
         assert "k_max must be >= 1, got 0" in err
         assert not out_dir.exists()
 
+    def test_scan_needs_the_deposit_modes(self, config, tmp_path, capsys):
+        out_dir = tmp_path / "scan"
+        code, out, err = run_cli(
+            [
+                "scan", "--k-max", "2", "--n-modes", "2", "--config", config,
+                "--out", str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "n_modes must be >= 4 to hold the deposit modes, got 2" in err
+        assert not out_dir.exists()
+
 
 class TestDispersion:
     def test_flags_work_on_both_sides_of_the_subcommand(self, config, capsys):
@@ -281,6 +294,24 @@ class TestSimulate:
         assert code == 0
         resumed = config_hash_of(tmp_path / "resumed" / "manifest.txt")
         assert resumed == config_hash_of(out_dir / "manifest.txt")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_summary_and_flags_are_written(self, tmp_path, capsys):
+        """``simulate.json`` holds the printed summary, flags included."""
+        unstable = tmp_path / "unstable.cfg"
+        unstable.write_text(CONFIG_TEXT.replace("chi = 4.0", "chi = 400"))
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli(
+            [
+                "simulate", "--t-end", "0.2", "--dt", "0.2", "--stride", "1",
+                "--config", str(unstable), "--out", str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 0
+        written = json.loads((out_dir / "simulate.json").read_text())
+        assert written == json.loads(out)
+        assert written["n_steps"] == 1 and written["positivity_flagged"] is True
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_keeps_the_samples(self, tmp_path, capsys):

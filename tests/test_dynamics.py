@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,9 +286,9 @@ def test_final_positivity_check_costs_one_transform_at_most(monkeypatch, grid, o
 
     calls = []
 
-    def counting_ifft3(*args):
+    def counting_ifft3(*args, **kwargs):
         calls.append(1)
-        return ifft3(*args)
+        return ifft3(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "ifft3", counting_ifft3)
     p = params()
@@ -295,6 +296,65 @@ def test_final_positivity_check_costs_one_transform_at_most(monkeypatch, grid, o
     observers = (PhaseState.f_physical,) if observe else ()
     run(state, StepperConfig(dt=1e-3), p, 0.003, observers=observers)
     assert len(calls) == 4 + 3  # states 0..3 once each, plus one ETDRK2 stage per step
+
+
+def test_step_allocates_little_beyond_the_new_state():
+    """A warmed-up 32^3 ETDRK2 step allocates, at its peak, less than three
+    full-grid arrays: the new coefficients and their physical density, plus
+    spatial fields.  The stepper's own scratch holds everything else."""
+    grid = SpectralGrid(32, 32, 32)
+    p = params(tau=0.5, coupling=Coupling.PARABOLIC)
+    rng = np.random.default_rng(2)
+    state = random_band_limited_state(grid, p, rng, 4, 0.1)
+    stepper = Stepper(grid, p, StepperConfig(dt=1e-3))
+    state = stepper.step(state)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        new_state = stepper.step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert new_state.step == 2
+    assert peak - before < 3 * np.empty(grid.shape_phys3).nbytes
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("coupling", list(Coupling))
+def test_scratch_stepping_is_bit_identical(grid, monkeypatch, scheme, coupling):
+    """Stepping in the stepper's scratch gives the allocating step's bits."""
+    import antkinetics.dynamics as dynamics
+
+    p = params(tau=0.5, coupling=coupling)
+    cfg = StepperConfig(dt=2e-3, scheme=scheme)
+    state = random_band_limited_state(grid, p, np.random.default_rng(4), 4, 0.1)
+    allocating = run(state, cfg, p, 0.01).state
+    monkeypatch.setattr(dynamics, "_SCRATCH_MIN_POINTS", 0)
+    assert Stepper(grid, p, cfg)._n1 is not None
+    buffered = run(state, cfg, p, 0.01).state
+    for a, b in ((allocating.f_hat, buffered.f_hat), (allocating.c_hat, buffered.c_hat),
+                 (allocating.f_physical(), buffered.f_physical())):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_step_returns_fresh_arrays_and_leaves_its_input():
+    """Nothing a step returns is scratch, and the input state is not written."""
+    grid = SpectralGrid(32, 32, 32)
+    p = params(tau=0.5)
+    state = random_band_limited_state(grid, p, np.random.default_rng(3), 4, 0.1)
+    kept = (state.f_hat.copy(), state.c_hat.copy(), state.f_physical().copy())
+    stepper = Stepper(grid, p, StepperConfig(dt=1e-3))
+    first = stepper.step(state)
+    first_arrays = (first.f_hat.copy(), first.f_physical().copy())
+    second = stepper.step(state)
+    assert np.array_equal(first.f_hat, first_arrays[0])
+    assert np.array_equal(first.f_physical(), first_arrays[1])
+    assert np.array_equal(second.f_hat, first.f_hat)
+    for arr, copy in zip((state.f_hat, state.c_hat, state.f_physical()), kept):
+        assert np.array_equal(arr, copy)
+    rhs, _ = stepper.explicit_rhs(state.f_physical(), state.c_hat)
+    again, _ = stepper.explicit_rhs(first.f_physical(), first.c_hat)
+    assert rhs is not again and not np.shares_memory(rhs, again)
 
 
 def test_non_finite_input_raises_named_error(grid):

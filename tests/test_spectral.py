@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from antkinetics.spectral import (
     SpectralGrid,
@@ -49,6 +50,42 @@ def test_fft_roundtrip(grid):
     np.testing.assert_allclose(ifft3(fft3(f), grid), f, atol=1e-12)
     c = rng.standard_normal(grid.shape_phys2)
     np.testing.assert_allclose(ifft2(fft2(c), grid), c, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (8, 12, 16)])
+def test_transforms_match_scipy_bit_for_bit(shape):
+    """fft3 and ifft3, with and without buffers, give scipy's rfftn and
+    irfftn to the bit; the pinned trajectories of test_golden rest on this."""
+    grid = SpectralGrid(*shape)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(grid.shape_phys3)
+    expect_hat = scipy.fft.rfftn(values, axes=(2, 0, 1))
+    out_hat = np.empty(grid.shape_four3, dtype=complex)
+    assert np.array_equal(fft3(values), expect_hat)
+    assert fft3(values, out=out_hat) is out_hat
+    assert np.array_equal(out_hat, expect_hat)
+
+    # a spectrum of a real field, and one without Hermitian symmetry
+    arbitrary = rng.standard_normal(grid.shape_four3) + 1j * rng.standard_normal(grid.shape_four3)
+    for coeffs in (expect_hat, arbitrary):
+        kept = coeffs.copy()
+        expect = scipy.fft.irfftn(coeffs, s=(grid.n_theta, grid.n_x1, grid.n_x2), axes=(2, 0, 1))
+        out = np.empty(grid.shape_phys3)
+        work = np.empty(grid.shape_four3, dtype=complex)
+        assert np.array_equal(ifft3(coeffs, grid), expect)
+        assert ifft3(coeffs, grid, out=out, work=work) is out
+        assert np.array_equal(out, expect)
+        assert np.array_equal(ifft3(coeffs, grid, out=np.empty(grid.shape_phys3)), expect)
+        assert np.array_equal(ifft3(coeffs, grid, work=work), expect)
+        assert np.array_equal(coeffs, kept)
+
+
+def test_expand_bias_into_buffers_is_bit_exact(grid):
+    rng = np.random.default_rng(8)
+    parts = tuple(rng.standard_normal(grid.shape_phys2) for _ in range(4))
+    out = np.empty(grid.shape_phys3)
+    assert expand_bias(parts, grid, out=out, work=np.empty(grid.shape_phys3)) is out
+    assert np.array_equal(out, expand_bias(parts, grid))
 
 
 def test_gradient_matches_analytic(grid):
