@@ -157,25 +157,14 @@ def _below_floor(f_phys: np.ndarray, tol: float) -> bool:
     return float(np.min(f_phys)) < -tol * max(float(np.max(f_phys)), 0.0)
 
 
-# Grids of at least this many points (a 256 KiB physical array) step in
-# scratch the stepper owns.  Measured on a shared 2-vCPU host (numpy 2.4.6,
-# scipy 1.17.1): an allocating step faulted in about 4,100 fresh pages at
-# 64^3, 152 at 32^3 and none at 16^3, while numpy's 1-D transforms into
-# buffers cost 6-14 us (16^3) and 45-70 us (32^3) more per call than
-# scipy's.  With scratch at every size, a 16^3 run-and-resume read 4 % slower
-# (2 of 6 pairs won) and a 32^3 growth match showed no change.
-_SCRATCH_MIN_POINTS = 32**3
-
-
 class Stepper:
     """Precomputed multipliers, scratch and stage logic for one (grid, params, cfg).
 
-    On large grids the stepper allocates its full-grid scratch once, and a
-    step allocates only the new state's coefficients and physical density;
-    every operation keeps the operand order of the allocating form, so the
-    numbers are the same to the bit.  On smaller grids the scratch is None
-    and each operation allocates its result.  Arrays the stepper returns
-    are never scratch, and the input state is never written.
+    The stepper allocates its full-grid scratch once, and a step allocates
+    only the new state's coefficients and physical density; every operation
+    keeps the operand order of the allocating form, so the numbers are the
+    same to the bit.  Arrays the stepper returns are never scratch, and the
+    input state is never written.
     """
 
     def __init__(self, grid: SpectralGrid, params: ModelParams, cfg: StepperConfig):
@@ -200,18 +189,13 @@ class Stepper:
         self.dx_min = min(1.0 / grid.n_x1, 1.0 / grid.n_x2)
         self.dtheta = TWO_PI / grid.n_theta
 
-        buffered = grid.n_x1 * grid.n_x2 * grid.n_theta >= _SCRATCH_MIN_POINTS
-
-        def scratch(shape, dtype):
-            return np.empty(shape, dtype) if buffered else None
-
         # coefficients: the two stage RHS, the stage, two transform buffers;
         # physical: the stage density, the bias, and a product buffer
         self._n1, self._n2, self._stage, self._t1, self._t2 = (
-            scratch(grid.shape_four3, complex) for _ in range(5)
+            np.empty(grid.shape_four3, complex) for _ in range(5)
         )
         self._stage_phys, self._bias, self._prod = (
-            scratch(grid.shape_phys3, float) for _ in range(3)
+            np.empty(grid.shape_phys3, float) for _ in range(3)
         )
 
     def drift(self, f_phys, out=None):

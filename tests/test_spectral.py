@@ -52,7 +52,7 @@ def test_fft_roundtrip(grid):
     np.testing.assert_allclose(ifft2(fft2(c), grid), c, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(16, 16, 16), (8, 12, 16)])
+@pytest.mark.parametrize("shape", [(16, 16, 16), (8, 12, 16), (32, 32, 32), (64, 64, 64)])
 def test_transforms_match_scipy_bit_for_bit(shape):
     """fft3 and ifft3, with and without buffers, give scipy's rfftn and
     irfftn to the bit; the pinned trajectories of test_golden rest on this."""
