@@ -28,7 +28,7 @@ import scipy.signal
 
 from .dynamics import PhaseState, marginal_hat
 from .params import ModelParams
-from .spectral import expand_bias, ifft2, lp_norm_phys, turning_bias_parts
+from .spectral import expand_bias, fft2, ifft2, lp_norm_phys, turning_bias_parts
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,6 +55,18 @@ class ObservableRecord:
     balance_terms: tuple = field(metadata={"written": False})
 
 
+def _peak_mode(spectrum, grid, floor):
+    """(|m1|, m2) of the largest entry of a 2-D half-axis spectrum, after its
+    (0, 0) entry is zeroed in place; None unless that largest entry exceeds
+    ``floor`` times the larger of 1 and the (0, 0) entry's old value."""
+    zero = spectrum[0, 0]
+    spectrum[0, 0] = 0.0
+    if float(np.max(spectrum)) <= floor * max(zero, 1.0):
+        return None
+    idx = np.unravel_index(int(np.argmax(spectrum)), spectrum.shape)
+    return abs(int(grid.m1[idx[0]])), int(grid.m2[idx[1]])
+
+
 def dominant_wavenumber(power, grid) -> int:
     """|m| of the spatial mode carrying the most deviation energy.
 
@@ -62,16 +74,8 @@ def dominant_wavenumber(power, grid) -> int:
     modes, it measures the walker density aggregated over angles.  Returns
     0 when nothing rises above round-off relative to the uniform mode.
     """
-    energy = np.sum(power, axis=2)
-    zero_level = energy[0, 0]
-    energy[0, 0] = 0.0
-    peak = float(np.max(energy))
-    if peak <= 1.0e-20 * max(zero_level, 1.0):
-        return 0
-    idx = np.unravel_index(int(np.argmax(energy)), energy.shape)
-    m1 = abs(int(grid.m1[idx[0]]))
-    m2 = int(grid.m2[idx[1]])
-    return int(round(math.hypot(m1, m2)))
+    mode = _peak_mode(np.sum(power, axis=2), grid, 1.0e-20)
+    return 0 if mode is None else int(round(math.hypot(*mode)))
 
 
 def count_trails(rho: np.ndarray, grid) -> int:
@@ -82,15 +86,10 @@ def count_trails(rho: np.ndarray, grid) -> int:
     counted with a prominence threshold of ``_TRAIL_PROMINENCE`` of the
     profile range.
     """
-    rho_hat = np.fft.rfft2(rho)
-    mags = np.abs(rho_hat)
-    zero = mags[0, 0]
-    mags[0, 0] = 0.0
-    if float(np.max(mags)) <= 1.0e-10 * max(zero, 1.0):
+    mode = _peak_mode(np.abs(fft2(rho)), grid, 1.0e-10)
+    if mode is None:
         return 0
-    idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    m1 = abs(int(grid.m1[idx[0]]))
-    m2 = int(grid.m2[idx[1]])
+    m1, m2 = mode
     profile = rho.mean(axis=1) if m1 >= m2 else rho.mean(axis=0)
     span = float(np.max(profile) - np.min(profile))
     if span <= 1.0e-12 * max(1.0, abs(float(np.mean(profile)))):

@@ -210,11 +210,8 @@ class Stepper:
     # explicit part: -lambda div_x(v f) - chi d_theta(B f), from the physical f
     def explicit_rhs(self, f_phys, c_hat, out=None):
         grid, params = self.grid, self.params
-        if out is None:
-            rhs = np.zeros(grid.shape_four3, dtype=complex)
-        else:
-            rhs = out
-            rhs.fill(0.0)
+        rhs = np.empty(grid.shape_four3, dtype=complex) if out is None else out
+        rhs.fill(0.0)
         max_abs_b = 0.0
         if params.lam != 0.0:
             rhs -= self.drift(f_phys, out=self._t1)
@@ -408,6 +405,8 @@ def run(
         )
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
 
     stepper = Stepper(state.grid, params, cfg)
     t0 = state.t
@@ -421,7 +420,7 @@ def run(
         if i % stride == 0 or i == n_steps:
             for observer in observers:
                 observer(state)
-        periodic = checkpoint_every and i % checkpoint_every == 0
+        periodic = checkpoint_every is not None and i % checkpoint_every == 0
         if checkpoint_dir is not None and periodic and i < n_steps:
             write_checkpoint(checkpoint_dir, state, config_digest)
     # each step checks the state it starts from; the final one is checked here
@@ -464,7 +463,16 @@ def read_checkpoint(
     ``expected_config_digest`` is given, one stamped with another digest
     (an empty stamp is accepted).
     """
-    meta = load_config(os.path.join(directory, "checkpoint.txt"))
+    path = os.path.join(directory, "checkpoint.txt")
+    meta = load_config(path)
+    values = {}
+    for key, parse in (("t_hex", float.fromhex), ("step", int)):
+        try:
+            values[key] = parse(meta[key])
+        except KeyError:
+            raise ValueError(f"{path}: missing key {key!r}") from None
+        except ValueError:
+            raise ValueError(f"{path}: key {key!r}: cannot read {meta[key]!r}") from None
     f_hat, grid = read_field(os.path.join(directory, "f.field"), grid)
     c_hat, _ = read_field(os.path.join(directory, "c.field"), grid)
     stamp = meta.get("config_hash", "")
@@ -473,10 +481,4 @@ def read_checkpoint(
             "checkpoint was produced under a different configuration "
             f"(hash {stamp} != {expected_config_digest})"
         )
-    return PhaseState(
-        grid=grid,
-        f_hat=f_hat,
-        c_hat=c_hat,
-        t=float.fromhex(meta["t_hex"]),
-        step=int(meta["step"]),
-    )
+    return PhaseState(grid, f_hat, c_hat, t=values["t_hex"], step=values["step"])

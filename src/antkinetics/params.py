@@ -128,15 +128,14 @@ class ReducedParams:
         return replace(self, sigma=sigma)
 
 
-def reduce_params(params: ModelParams, k: int, coupling: Coupling | None = None) -> ReducedParams:
+def reduce_params(params: ModelParams, k: int) -> ReducedParams:
     """Reduce raw parameters to the wavenumber-k scalars."""
     if not isinstance(k, (int,)) or isinstance(k, bool):
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    coupling = params.coupling if coupling is None else _coerce_coupling(coupling)
     nu_breve = FOUR_PI_SQ * k * k * params.sigma_c + params.gamma
-    if coupling is Coupling.ELLIPTIC:
+    if params.coupling is Coupling.ELLIPTIC:
         chi_breve = params.chi * k / nu_breve
     else:
         chi_breve = params.chi * k
@@ -160,7 +159,7 @@ def instability_margin(params: ModelParams, k: int) -> float:
     the angular response integral; both couplings give the same number.
     Requires lambda > 0.
     """
-    rp = reduce_params(params, k, Coupling.ELLIPTIC)
+    rp = reduce_params(params.replace(coupling=Coupling.ELLIPTIC), k)
     if rp.lambda_breve == 0.0:
         raise ValueError("instability margin undefined for lambda = 0")
     return rp.chi_breve * TWO_PI * (rp.tau_breve + 1.0) / rp.lambda_breve - 1.0

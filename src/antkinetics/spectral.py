@@ -15,6 +15,10 @@ Spatial derivatives multiply by 2 pi i m, angular ones by i n.  Odd-order
 derivative multipliers zero the Nyquist mode (an imaginary multiplier on
 the self-conjugate mode would break the real round trip); squared
 multipliers keep the full value.
+
+Every transform runs numpy's 1-D passes in scipy's ``rfftn``/``irfftn`` order,
+which gives their bits: r2c along x2, then c2c along theta (3-D) and x1;
+inverse, the c2c passes unscaled, c2r along x2, then a single 1/N scale.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as _fft
 
 TWO_PI = 2.0 * np.pi
 
 _MAGIC = b"ANTK"
 _FORMAT_VERSION = 1
+_HEADER_BYTES = 24  # magic, then version, n_x1, n_x2, n_theta, representation flag
 
 
 @dataclass(frozen=True)
@@ -169,44 +173,38 @@ class SpectralGrid:
 # --- raw transforms -------------------------------------------------------------
 
 
-def fft3(values, out=None):
-    """Forward transform of an (x1, x2, theta) array; x2 is the half axis.
-
-    Without ``out`` scipy's ``rfftn`` allocates the result.  With it,
-    numpy's 1-D transforms write into ``out`` in the order ``rfftn`` takes
-    (real-to-complex along x2, then theta, then x1), which gives the same
-    bits.
-    """
-    if out is None:
-        return _fft.rfftn(values, axes=(2, 0, 1))
-    np.fft.rfft(values, axis=1, out=out)
-    np.fft.fft(out, axis=2, out=out)
-    return np.fft.fft(out, axis=0, out=out)
-
-
-def ifft3(coeffs, grid: SpectralGrid, out=None, work=None):
-    """Inverse of :func:`fft3`; ``coeffs`` is never written.
-
-    Without ``out`` and ``work`` scipy's ``irfftn`` allocates the result.
-    With either, numpy's 1-D transforms run in ``irfftn``'s order: unscaled
-    along theta, then x1, into the complex ``work``; complex-to-real along
-    x2 into ``out``; then the one 1/N scale.  That gives the same bits.
-    """
-    if out is None and work is None:
-        return _fft.irfftn(coeffs, s=(grid.n_theta, grid.n_x1, grid.n_x2), axes=(2, 0, 1))
-    work = np.fft.ifft(coeffs, axis=2, norm="forward", out=work)
-    np.fft.ifft(work, axis=0, norm="forward", out=work)
-    out = np.fft.irfft(work, n=grid.n_x2, axis=1, norm="forward", out=out)
-    out *= 1.0 / (grid.n_x1 * grid.n_x2 * grid.n_theta)
+def _forward(values, c2c_axes, out=None):
+    out = np.fft.rfft(values, axis=1, out=out)
+    for axis in c2c_axes:
+        np.fft.fft(out, axis=axis, out=out)
     return out
 
 
+def _inverse(coeffs, n_x2, c2c_axes, out=None, work=None):
+    for axis in c2c_axes:
+        coeffs = work = np.fft.ifft(coeffs, axis=axis, norm="forward", out=work)
+    out = np.fft.irfft(coeffs, n=n_x2, axis=1, norm="forward", out=out)
+    out *= 1.0 / out.size
+    return out
+
+
+def fft3(values, out=None):
+    """Forward transform of an (x1, x2, theta) array; x2 is the half axis."""
+    return _forward(values, (2, 0), out)
+
+
+def ifft3(coeffs, grid: SpectralGrid, out=None, work=None):
+    """Inverse of :func:`fft3`, through the complex ``work`` into ``out`` when
+    given; ``coeffs`` is never written."""
+    return _inverse(coeffs, grid.n_x2, (2, 0), out, work)
+
+
 def fft2(values):
-    return _fft.rfftn(values, axes=(0, 1))
+    return _forward(values, (0,))
 
 
 def ifft2(coeffs, grid: SpectralGrid):
-    return _fft.irfftn(coeffs, s=(grid.n_x1, grid.n_x2), axes=(0, 1))
+    return _inverse(coeffs, grid.n_x2, (0,))
 
 
 # --- turning bias ---------------------------------------------------------------
@@ -298,14 +296,16 @@ def write_field(path, values, grid: SpectralGrid) -> None:
 def read_field(path, grid: SpectralGrid | None = None):
     """Read a serialized field as ``(values, grid)``.
 
-    Validates magic, version, representation flag and payload size, and,
-    when ``grid`` is given, that the stored grid matches it.
+    Validates the header length, magic, version, representation flag and
+    payload byte count, and, when ``grid`` is given, the stored grid.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _HEADER_BYTES:
+        raise ValueError(f"{path}: header has {len(raw)} bytes, expected {_HEADER_BYTES}")
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
-    version, n_x1, n_x2, n_theta, rep_flag = struct.unpack("<5I", raw[4:24])
+    version, n_x1, n_x2, n_theta, rep_flag = struct.unpack("<5I", raw[4:_HEADER_BYTES])
     if version != _FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
     if rep_flag not in (0, 1):
@@ -318,9 +318,8 @@ def read_field(path, grid: SpectralGrid | None = None):
             f"({grid.n_x1}, {grid.n_x2}, {grid.n_theta})"
         )
     shape = _field_shape(grid, 2 if n_theta == 0 else 3, rep_flag == 1)
-    payload = np.frombuffer(raw[24:], dtype="<c16" if rep_flag else "<f8")
-    if payload.size != int(np.prod(shape)):
-        raise ValueError(
-            f"{path}: payload has {payload.size} entries, expected {int(np.prod(shape))}"
-        )
-    return payload.reshape(shape).copy(), grid
+    dtype = np.dtype("<c16" if rep_flag else "<f8")
+    payload, expected = raw[_HEADER_BYTES:], int(np.prod(shape)) * dtype.itemsize
+    if len(payload) != expected:
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy(), grid

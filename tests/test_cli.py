@@ -235,6 +235,20 @@ class TestSimulate:
         resumed = json.loads(out)
         assert abs(resumed["t"] - 0.04) < 1e-15
 
+    @pytest.mark.parametrize("every", ["0", "-2"])
+    def test_checkpoint_every_below_one_is_refused(self, config, tmp_path, every, capsys):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            [
+                "simulate", "--t-end", "0.02", "--checkpoint-every", every,
+                "--config", config, "--out", str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert f"checkpoint_every must be >= 1, got {every}" in err
+        assert not out_dir.exists()
+
     def test_resume_under_another_grid_is_refused(self, config, tmp_path, capsys):
         out_dir = tmp_path / "run"
         code, _, _ = run_cli(

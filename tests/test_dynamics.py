@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,33 @@ def test_checkpoint_restores_non_representable_times(tmp_path, grid):
     assert state.t == 3e-3
     write_checkpoint(tmp_path / "ckpt", state, "")
     assert read_checkpoint(tmp_path / "ckpt").t == state.t
+
+
+@pytest.mark.parametrize(
+    "name,damage,key",
+    [
+        pytest.param("checkpoint.txt", lambda raw: b"", "t_hex", id="empty-manifest"),
+        pytest.param("c.field", lambda raw: raw[:10], None, id="c-cut-in-header"),
+        pytest.param("f.field", lambda raw: raw[:100], None, id="f-cut-in-payload"),
+        pytest.param("checkpoint.txt", lambda raw: re.sub(rb"step = \d+", b"step = ten", raw),
+                     "step", id="step-not-an-integer"),
+    ],
+)
+def test_damaged_checkpoint_is_refused_naming_the_file(tmp_path, grid, name, damage, key):
+    write_checkpoint(tmp_path / "ckpt", homogeneous_state(grid, params()), "")
+    path = tmp_path / "ckpt" / name
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + (f".*'{key}'" if key else "")):
+        read_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("every", [0, -2])
+def test_checkpoint_every_below_one_is_refused(tmp_path, grid, every):
+    p = params()
+    with pytest.raises(ValueError, match=f"checkpoint_every must be >= 1, got {every}"):
+        run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 0.01,
+            checkpoint_dir=tmp_path / "ckpt", checkpoint_every=every)
+    assert not (tmp_path / "ckpt").exists()
 
 
 @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])

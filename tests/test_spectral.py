@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import antkinetics
 from antkinetics.spectral import (
     SpectralGrid,
     expand_bias,
@@ -52,10 +55,14 @@ def test_fft_roundtrip(grid):
     np.testing.assert_allclose(ifft2(fft2(c), grid), c, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(16, 16, 16), (8, 12, 16), (32, 32, 32), (64, 64, 64)])
+@pytest.mark.parametrize(
+    "shape", [(16, 16, 16), (8, 12, 16), (12, 8, 16), (32, 32, 32), (64, 64, 64)]
+)
 def test_transforms_match_scipy_bit_for_bit(shape):
-    """fft3 and ifft3, with and without buffers, give scipy's rfftn and
-    irfftn to the bit; the pinned trajectories of test_golden rest on this."""
+    """fft3 and ifft3, with and without buffers, and fft2 and ifft2 on the
+    spatial grid give scipy's rfftn and irfftn to the bit; the pinned
+    trajectories of test_golden rest on this.  A 12 x 8 grid tells a single
+    1/N scale from numpy's irfftn, which scales once per axis."""
     grid = SpectralGrid(*shape)
     rng = np.random.default_rng(7)
     values = rng.standard_normal(grid.shape_phys3)
@@ -78,6 +85,35 @@ def test_transforms_match_scipy_bit_for_bit(shape):
         assert np.array_equal(ifft3(coeffs, grid, out=np.empty(grid.shape_phys3)), expect)
         assert np.array_equal(ifft3(coeffs, grid, work=work), expect)
         assert np.array_equal(coeffs, kept)
+
+    plane = rng.standard_normal(grid.shape_phys2)
+    plane_hat = scipy.fft.rfftn(plane, axes=(0, 1))
+    assert np.array_equal(fft2(plane), plane_hat)
+    arbitrary = rng.standard_normal(grid.shape_four2) + 1j * rng.standard_normal(grid.shape_four2)
+    for coeffs in (plane_hat, arbitrary):
+        kept = coeffs.copy()
+        expect = scipy.fft.irfftn(coeffs, s=grid.shape_phys2, axes=(0, 1))
+        assert np.array_equal(ifft2(coeffs, grid), expect)
+        assert np.array_equal(coeffs, kept)
+
+
+def test_package_uses_one_transform_implementation():
+    """No module imports scipy.fft or calls a multi-axis numpy transform:
+    every transform goes through spectral's single rule."""
+    multi_axis = {"rfft2", "irfft2", "rfftn", "irfftn", "fft2", "ifft2", "fftn", "ifftn"}
+    for path in sorted(pathlib.Path(antkinetics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                modules = []
+            assert "scipy.fft" not in modules, f"{path.name}:{node.lineno} imports scipy.fft"
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+                assert not (node.value.attr == "fft" and node.attr in multi_axis), (
+                    f"{path.name}:{node.lineno} calls fft.{node.attr}"
+                )
 
 
 def test_expand_bias_into_buffers_is_bit_exact(grid):
