@@ -23,10 +23,16 @@ That matrix is written once, as the complex operator L on u over modes
 n = -N..N (plus one chemical amplitude C = alpha + i beta for the parabolic
 coupling).  :func:`assemble_viscous_operator` returns its realification on
 (a, b, alpha, beta), whose spectrum is that of L together with the
-conjugates.  Every entry of L is even under the angular reflection
-n -> -n, so :func:`viscous_spectrum` solves L's two parity blocks, one on
-the even and one on the odd combinations of modes +n and -n, each about a
-quarter of the real matrix's size.
+conjugates.  :func:`viscous_spectrum` solves a real matrix of L's size
+instead: the gauge D = diag(i^|n|), which leaves C alone, makes every
+entry of D L D^-1 real, because each drift entry i lam / 2 links modes
+whose |n| differ by one and each deposit -i chi / 2 (-chi tau / 2) lands
+on |n| = 1 (2) from the mean.  So spec(L) is closed under conjugation and
+the realification lists each eigenvalue of D L D^-1 twice.  Every entry
+is also even under the angular reflection n -> -n, so the gauged matrix
+splits into two real parity blocks, one on the even and one on the odd
+combinations of modes +n and -n, each about a quarter of the
+realification's size.
 
 Growth-match seeds come from one eigenmode, solved once for the mean W = 1
 (:func:`seed_profiles`): the profile u and amplitude C.  The other seeds
@@ -332,21 +338,21 @@ class EigenSpectrum:
     sigma: float | None = None
 
 
-def rightmost_eigenvalues(*blocks: np.ndarray) -> EigenSpectrum:
+def rightmost_eigenvalues(*blocks: np.ndarray, doubled: bool = False) -> EigenSpectrum:
     """Dense spectrum of the direct sum of ``blocks``, with the rightmost
     eigenvalue and its cluster size.
 
-    A complex block stands for its realification, so its eigenvalues are
-    listed together with their conjugates.  Eigenvalues are sorted by
-    descending real part, ties by descending imaginary part; the
+    With ``doubled`` each eigenvalue is listed twice, as the realification
+    of a complex operator L lists them when the blocks are real and similar
+    to L: its spectrum is spec(L) with the conjugates, and a real similar
+    matrix makes spec(L) closed under conjugation.  Eigenvalues are sorted
+    by descending real part, ties by descending imaginary part; the
     multiplicity counts those within 1e-8 (1 + |rightmost|) of the
     rightmost one.
     """
-    parts = []
-    for block in blocks:
-        ev = scipy.linalg.eig(block, right=False)
-        parts += [ev, ev.conj()] if np.iscomplexobj(block) else [ev]
-    eigenvalues = np.concatenate(parts)
+    eigenvalues = np.concatenate([scipy.linalg.eig(block, right=False) for block in blocks])
+    if doubled:
+        eigenvalues = np.concatenate([eigenvalues, eigenvalues])
     eigenvalues = eigenvalues[np.lexsort((-eigenvalues.imag, -eigenvalues.real))]
     rightmost = complex(eigenvalues[0])
     cluster_tol = 1.0e-8 * (1.0 + abs(rightmost))
@@ -354,11 +360,41 @@ def rightmost_eigenvalues(*blocks: np.ndarray) -> EigenSpectrum:
     return EigenSpectrum(eigenvalues=eigenvalues, rightmost=rightmost, multiplicity=multiplicity)
 
 
-def viscous_spectrum(rp: ReducedParams, n_modes: int, coupling: Coupling) -> EigenSpectrum:
-    """Spectrum of :func:`assemble_viscous_operator`, from the two parity
-    blocks of the complex operator it realifies."""
+# i^m for m = 0..3, exact: i^|n| read from it multiplies by 1, i, -1 or -i
+# without round-off, where 1j ** n does not
+_POWERS_OF_I = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _gauged_operator(rp: ReducedParams, n_modes: int, coupling: Coupling) -> np.ndarray:
+    """D L D^-1 for the operator L of :func:`_complex_operator`, with
+    D = diag(i^|n|) over n = -N..N and 1 on the chemical amplitude.
+
+    Entry (m, n) is i^(|m| - |n|) L_mn: the drift reads -+ lam / 2 and the
+    deposits chi / 2 and chi tau / 2 per unit mean, so every entry is real.
+    D^-1 = conj(D), and a product with 1, i, -1 or -i is exact, so the
+    imaginary part is exactly zero.  D is even in n, so the gauged matrix
+    still commutes with n -> -n.
+    """
+    n_modes = int(n_modes)
     matrix = _complex_operator(rp, n_modes, coupling)
-    return rightmost_eigenvalues(*_parity_blocks(matrix, int(n_modes)))
+    gauge = np.ones(matrix.shape[0], dtype=complex)
+    gauge[:2 * n_modes + 1] = _POWERS_OF_I[np.abs(np.arange(-n_modes, n_modes + 1)) % 4]
+    matrix *= gauge[:, None]
+    matrix *= gauge.conj()
+    return matrix
+
+
+def viscous_spectrum(rp: ReducedParams, n_modes: int, coupling: Coupling) -> EigenSpectrum:
+    """Spectrum of :func:`assemble_viscous_operator`, from the two real
+    parity blocks of the gauged operator of :func:`_gauged_operator`.
+
+    The blocks are real and similar to L's parity blocks, so each
+    eigenvalue is listed twice, as the realification lists spec(L) with
+    its conjugates.  A real rightmost eigenvalue has an imaginary part of
+    exactly 0.
+    """
+    gauged = _gauged_operator(rp, n_modes, coupling).real
+    return rightmost_eigenvalues(*_parity_blocks(gauged, int(n_modes)), doubled=True)
 
 
 def eigen_sweep(

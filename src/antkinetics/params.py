@@ -217,8 +217,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> dict:
+    """:func:`parse_config_text` of the file at ``path``; errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            return parse_config_text(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def model_params_from_mapping(mapping: Mapping) -> ModelParams:

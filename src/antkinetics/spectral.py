@@ -311,7 +311,10 @@ def read_field(path, grid: SpectralGrid | None = None):
     if rep_flag not in (0, 1):
         raise ValueError(f"{path}: unknown representation flag {rep_flag}")
     if grid is None:
-        grid = SpectralGrid(n_x1, n_x2, n_theta if n_theta else 8)
+        try:
+            grid = SpectralGrid(n_x1, n_x2, n_theta if n_theta else 8)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     elif (grid.n_x1, grid.n_x2) != (n_x1, n_x2) or (n_theta and grid.n_theta != n_theta):
         raise ValueError(
             f"{path}: stored grid ({n_x1}, {n_x2}, {n_theta}) does not match "

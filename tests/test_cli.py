@@ -76,6 +76,13 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    def test_malformed_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "model.cfg"
+        path.write_text(CONFIG_TEXT.replace("chi = 4.0", "chi 4.0"))
+        code, out, err = run_cli(["dispersion", "--k", "1", "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: config line 7: expected 'key = value'")
+
     def test_bad_flag_value(self, config, capsys):
         code, _, err = run_cli(
             ["eigen", "--k", "1", "--sigma-sweep", "0:1", "--config", config], capsys
@@ -144,6 +151,26 @@ class TestEigen:
         sigmas = [row["sigma"] for row in result["rows"]]
         assert sigmas == pytest.approx([0.1, 0.3, 0.5])
         assert all("rightmost_re" in row for row in result["rows"])
+
+
+@pytest.mark.parametrize("coupling, tau", [("elliptic", "0.0"), ("parabolic", "0.5")])
+def test_real_rightmost_eigenvalue_is_written_exactly_real(tmp_path, capsys, coupling, tau):
+    """The real parity blocks give a real unstable root an imaginary part of 0.0."""
+    path = tmp_path / "model.cfg"
+    path.write_text(CONFIG_TEXT.replace("tau = 0.0", f"tau = {tau}")
+                    .replace("coupling = elliptic", f"coupling = {coupling}"))
+    common = ["--n-modes", "24", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert run_cli(["eigen", "--k", "1", "--sigma-sweep", "0:0.5:3"] + common, capsys)[0] == 0
+    assert run_cli(["scan", "--k-max", "1"] + common, capsys)[0] == 0
+    with open(tmp_path / "out" / "eigen.csv", newline="") as fh:
+        eigen_rows = list(csv.DictReader(fh))
+    with open(tmp_path / "out" / "scan.csv", newline="") as fh:
+        (scan_row,) = csv.DictReader(fh)
+    assert len(eigen_rows) == 3
+    assert all(float(row["rightmost_re"]) > 0.0 for row in eigen_rows)
+    assert [row["rightmost_im"] for row in eigen_rows] == ["0.0"] * 3
+    assert float(scan_row["viscous_rightmost_re"]) > 0.0
+    assert scan_row["viscous_rightmost_im"] == "0.0"
 
 
 class TestScan:

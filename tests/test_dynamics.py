@@ -234,6 +234,8 @@ def test_checkpoint_restores_non_representable_times(tmp_path, grid):
         pytest.param("f.field", lambda raw: raw[:100], None, id="f-cut-in-payload"),
         pytest.param("checkpoint.txt", lambda raw: re.sub(rb"step = \d+", b"step = ten", raw),
                      "step", id="step-not-an-integer"),
+        pytest.param("checkpoint.txt", lambda raw: raw[:raw.index(b"step =") + 5], None,
+                     id="manifest-cut-mid-line"),
     ],
 )
 def test_damaged_checkpoint_is_refused_naming_the_file(tmp_path, grid, name, damage, key):

@@ -1,11 +1,17 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import antkinetics
+from antkinetics import linstab
 from antkinetics.linstab import (
     DispersionResult,
     NoRoot,
+    _complex_operator,
+    _gauged_operator,
     assemble_viscous_operator,
     dispersion_integral,
     eigen_sweep,
@@ -277,7 +283,7 @@ class TestTruncatedOperator:
     @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("sigma_theta", [0.0, 0.02])
-    @pytest.mark.parametrize("n_modes", [4, 64])
+    @pytest.mark.parametrize("n_modes", [4, 64, 128])
     @pytest.mark.parametrize("chi", [6.0, 0.5])
     def test_parity_spectrum_matches_the_full_matrix(self, coupling, k, sigma_theta, n_modes,
                                                      chi):
@@ -289,6 +295,59 @@ class TestTruncatedOperator:
         assert abs(folded.rightmost - full.rightmost) <= 1e-12 * (1.0 + abs(full.rightmost))
         assert folded.multiplicity == full.multiplicity
         assert folded.eigenvalues.size == full.eigenvalues.size
+
+    @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_gauged_operator_is_exactly_real(self, coupling, k):
+        """D L D^-1 with D = diag(i^|n|) is real, to the bit, and similar to L."""
+        rp = reduce_params(self.params(coupling), k)
+        assert rp.tau_breve > 0.0 and rp.sigma > 0.0
+        # at 128 modes, where 1j ** n would leave imaginary parts of 2e-14
+        assert np.all(_gauged_operator(rp, 128, coupling).imag == 0.0)
+        # similar to L: every eigenvalue of each lies on one of the other (at 16
+        # modes; the interior spectrum of more modes is too ill-conditioned)
+        ours = np.linalg.eigvals(_gauged_operator(rp, 16, coupling).real)
+        theirs = np.linalg.eigvals(_complex_operator(rp, 16, coupling))
+        distance = np.abs(ours[:, None] - theirs[None, :])
+        assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) < 1e-10
+
+    def test_spectrum_is_one_real_eigensolve_call(self, monkeypatch):
+        calls = []
+
+        def recording(*blocks, **kwargs):
+            calls.append([block.dtype for block in blocks])
+            return rightmost_eigenvalues(*blocks, **kwargs)
+
+        monkeypatch.setattr(linstab, "rightmost_eigenvalues", recording)
+        for coupling in (Coupling.ELLIPTIC, Coupling.PARABOLIC):
+            calls.clear()
+            viscous_spectrum(reduce_params(self.params(coupling), 1), 16, coupling)
+            assert calls == [[np.dtype(np.float64)] * 2]
+
+
+def test_dense_eigensolves_stay_in_rightmost_eigenvalues():
+    """Only linstab.rightmost_eigenvalues calls a dense eig/eigvals, so every
+    dense eigensolve is timed under one name."""
+    names = {"eig", "eigvals"}
+    callers = set()
+    for path in sorted(pathlib.Path(antkinetics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                imported = {alias.name for alias in node.names} & names
+                assert not imported, f"{path.name}:{node.lineno} imports {imported}"
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in names
+                        and isinstance(node.func.value, (ast.Attribute, ast.Name))):
+                    owner = node.func.value
+                    owner = owner.attr if isinstance(owner, ast.Attribute) else owner.id
+                    if owner == "linalg":
+                        callers.add(f"{path.stem}.{function.name}")
+    assert callers == {"linstab.rightmost_eigenvalues"}
 
 
 class TestResolventBound:

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 import struct
 
 import numpy as np
@@ -305,3 +306,12 @@ class TestSerialization:
         write_field(path, np.zeros(grid.shape_phys3), grid)
         with pytest.raises(ValueError, match="does not match"):
             read_field(path, grid=SpectralGrid(8, 8, 8))
+
+    def test_bad_stored_grid_is_refused_naming_the_file(self, grid, tmp_path):
+        path = tmp_path / "f.field"
+        write_field(path, np.zeros(grid.shape_phys3), grid)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 7)  # the n_x1 word
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: n_x1 must be even")):
+            read_field(path)
