@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Every subcommand's parser carries its handler and experiment kind; a
+handler runs its ``run_*`` driver and returns the result, printed as JSON,
+and whether the driver's built-in check passed.  A ``--config`` key that no
+code reads is refused; the manifest's header keys are dropped, so a
+``manifest.txt`` fed back as ``--config`` reproduces itself.
+
 Exit codes: 0 on success, 2 when a run finishes but its built-in check
 fails (rate mismatch, scan inconsistency, threshold violation), 1 on
 runtime errors (bad input, non-finite fields, I/O).
@@ -15,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    MANIFEST_HEADER_KEYS,
+    OPTIONAL_KEYS,
     ExperimentKind,
     build_config,
     dispersion_report,
@@ -57,6 +65,40 @@ def _add_global_flags(parser, suppress: bool) -> None:
                         **(kw or {"default": None}))
 
 
+def _simulate(cfg, args):
+    init = f"checkpoint:{args.resume}" if args.resume else args.init
+    summary = run_simulate(cfg, t_end=args.t_end, stride=args.stride, init=init,
+                           checkpoint_every=args.checkpoint_every)
+    return summary, True
+
+
+def _dispersion(cfg, args):
+    return dispersion_report(cfg.params, args.k), True
+
+
+def _eigen(cfg, args):
+    sigmas = _parse_sigma_sweep(args.sigma_sweep)
+    return run_eigen(cfg, args.k, sigmas, n_modes=args.n_modes), True
+
+
+def _scan(cfg, args):
+    result = run_instability_scan(cfg, args.k_max, n_modes=args.n_modes)
+    return result, result["ok"]
+
+
+def _growth_match(cfg, args):
+    result = run_growth_match(cfg, args.k, t_end=args.t_end, amplitude_rel=args.amplitude,
+                              n_modes=args.n_modes)
+    return result, result["ok"]
+
+
+def _stability_sweep(cfg, args):
+    chi_values = _parse_chi_grid(args.chi_grid) if args.chi_grid else None
+    result = run_stability_sweep(cfg, chi_values=chi_values, k_max=args.k_max,
+                                 t_end=args.t_end, stride=args.stride)
+    return result, result["threshold_ok"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antkinetics",
@@ -67,12 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
+    def add_parser(name, handler, kind, **kwargs):
         p = sub.add_parser(name, **kwargs)
         _add_global_flags(p, suppress=True)
+        p.set_defaults(handler=handler, kind=kind)
         return p
 
-    p = add_parser("simulate", help="integrate the kinetic system and record observables")
+    p = add_parser("simulate", _simulate, ExperimentKind.SIMULATE,
+                   help="integrate the kinetic system and record observables")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--stride", type=int, default=10)
@@ -85,25 +129,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, metavar="DIR",
                    help="shorthand for --init checkpoint:DIR")
 
-    p = add_parser("dispersion", help="margin and growth-rate root at one wavenumber")
+    p = add_parser("dispersion", _dispersion, ExperimentKind.DISPERSION_MAP,
+                   help="margin and growth-rate root at one wavenumber")
     p.add_argument("--k", type=int, required=True)
 
-    p = add_parser("eigen", help="rightmost eigenvalues across an angular-viscosity sweep")
+    p = add_parser("eigen", _eigen, ExperimentKind.DISPERSION_MAP,
+                   help="rightmost eigenvalues across an angular-viscosity sweep")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sigma-sweep", required=True, metavar="A:B:N")
     p.add_argument("--n-modes", type=int, default=64)
 
-    p = add_parser("scan", help="instability map over wavenumbers 1..k_max")
+    p = add_parser("scan", _scan, ExperimentKind.DISPERSION_MAP,
+                   help="instability map over wavenumbers 1..k_max")
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--n-modes", type=int, default=64)
 
-    p = add_parser("growth-match", help="compare simulated growth against the predicted rate")
+    p = add_parser("growth-match", _growth_match, ExperimentKind.GROWTH_MATCH,
+                   help="compare simulated growth against the predicted rate")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--amplitude", type=float, default=1.0e-6)
     p.add_argument("--n-modes", type=int, default=64)
 
-    p = add_parser("stability-sweep", help="empirical chi threshold from common random data")
+    p = add_parser("stability-sweep", _stability_sweep, ExperimentKind.STABILITY_SWEEP,
+                   help="empirical chi threshold from common random data")
     p.add_argument("--t-end", type=float, default=20.0)
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--chi-grid", default=None, metavar="C1,C2,...")
@@ -112,83 +161,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KIND = {
-    "simulate": ExperimentKind.SIMULATE,
-    "dispersion": ExperimentKind.DISPERSION_MAP,
-    "eigen": ExperimentKind.DISPERSION_MAP,
-    "scan": ExperimentKind.DISPERSION_MAP,
-    "growth-match": ExperimentKind.GROWTH_MATCH,
-    "stability-sweep": ExperimentKind.STABILITY_SWEEP,
-}
-
-
 def _load_mapping(args) -> dict:
+    """The ``--config`` mapping without the manifest's header keys; refuses
+    any key that no code reads."""
     if not args.config:
         missing = ", ".join(MODEL_KEYS)
         raise ValueError(f"--config is required (model keys: {missing})")
-    return dict(load_config(args.config))
+    mapping = load_config(args.config)
+    for key in mapping:
+        if key not in MODEL_KEYS + OPTIONAL_KEYS + MANIFEST_HEADER_KEYS:
+            raise ValueError(f"{args.config}: unknown config key {key!r}")
+    return {key: value for key, value in mapping.items() if key not in MANIFEST_HEADER_KEYS}
 
 
 def _dispatch(args) -> int:
     mapping = _load_mapping(args)
     if getattr(args, "dt", None) is not None:
         mapping["dt"] = repr(args.dt)
-    cfg = build_config(
-        mapping,
-        _KIND[args.command],
-        out_dir=args.out,
-        seed=args.rng_seed,
-        threads=args.threads,
-    )
-
-    if args.command == "simulate":
-        init = args.init
-        if args.resume:
-            init = f"checkpoint:{args.resume}"
-        summary = run_simulate(
-            cfg,
-            t_end=args.t_end,
-            stride=args.stride,
-            init=init,
-            checkpoint_every=args.checkpoint_every,
-        )
-        print(json.dumps(summary, indent=2))
-        return 0
-
-    if args.command == "dispersion":
-        report = dispersion_report(cfg.params, args.k)
-        print(json.dumps(report, indent=2))
-        return 0
-
-    if args.command == "eigen":
-        sigmas = _parse_sigma_sweep(args.sigma_sweep)
-        result = run_eigen(cfg, args.k, sigmas, n_modes=args.n_modes)
-        print(json.dumps(result, indent=2))
-        return 0
-
-    if args.command == "scan":
-        result = run_instability_scan(cfg, args.k_max, n_modes=args.n_modes)
-        print(json.dumps(result, indent=2))
-        return 0 if result["ok"] else 2
-
-    if args.command == "growth-match":
-        result = run_growth_match(
-            cfg, args.k, t_end=args.t_end, amplitude_rel=args.amplitude,
-            n_modes=args.n_modes,
-        )
-        print(json.dumps(result, indent=2))
-        return 0 if result["ok"] else 2
-
-    if args.command == "stability-sweep":
-        chi_values = _parse_chi_grid(args.chi_grid) if args.chi_grid else None
-        result = run_stability_sweep(
-            cfg, chi_values=chi_values, k_max=args.k_max,
-            t_end=args.t_end, stride=args.stride,
-        )
-        print(json.dumps(result, indent=2))
-        return 0 if result["threshold_ok"] else 2
-
-    raise ValueError(f"unknown command {args.command!r}")
+    cfg = build_config(mapping, args.kind, out_dir=args.out, seed=args.rng_seed,
+                       threads=args.threads)
+    result, passed = args.handler(cfg, args)
+    print(json.dumps(result, indent=2))
+    return 0 if passed else 2
 
 
 def main(argv=None) -> int:

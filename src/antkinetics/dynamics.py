@@ -42,10 +42,6 @@ class Scheme(enum.Enum):
     IMEX_EULER = "imex_euler"
     ETDRK2 = "etdrk2"
 
-    @property
-    def order(self) -> int:
-        return 1 if self is Scheme.IMEX_EULER else 2
-
 
 def _coerce_scheme(value) -> Scheme:
     if isinstance(value, Scheme):
@@ -460,8 +456,8 @@ def read_checkpoint(
 
     ``checkpoint.txt`` is read as a ``key = value`` config.  When ``grid``
     is given, a checkpoint stored on another grid is rejected; then, when
-    ``expected_config_digest`` is given, one stamped with another digest
-    (an empty stamp is accepted).
+    ``expected_config_digest`` is given, one not stamped with exactly that
+    digest, an empty stamp included.
     """
     path = os.path.join(directory, "checkpoint.txt")
     meta = load_config(path)
@@ -476,9 +472,9 @@ def read_checkpoint(
     f_hat, grid = read_field(os.path.join(directory, "f.field"), grid)
     c_hat, _ = read_field(os.path.join(directory, "c.field"), grid)
     stamp = meta.get("config_hash", "")
-    if expected_config_digest is not None and stamp not in ("", expected_config_digest):
+    if expected_config_digest is not None and stamp != expected_config_digest:
         raise ValueError(
             "checkpoint was produced under a different configuration "
-            f"(hash {stamp} != {expected_config_digest})"
+            f"(hash {stamp or 'missing'} != {expected_config_digest})"
         )
     return PhaseState(grid, f_hat, c_hat, t=values["t_hex"], step=values["step"])

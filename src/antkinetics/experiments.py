@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from . import __version__
 from .diagnostics import (
@@ -60,6 +61,8 @@ from .params import (
 from .spectral import SpectralGrid, fft3, ifft3, l2_norm3_hat
 
 TWO_PI = 2.0 * math.pi
+_BUMP_WIDTH = 0.08  # periodic Gaussian width of a ``bump:`` start
+_GROWTH_SAMPLES = 60  # about the samples per growth-match run, and its least step count
 
 
 class ExperimentKind(enum.Enum):
@@ -124,6 +127,13 @@ def _get(mapping, key, default, cast=float):
         raise ValueError(f"config key {key!r}: cannot parse {mapping[key]!r}") from None
 
 
+# the keys besides MODEL_KEYS that build_config and initial_state read
+OPTIONAL_KEYS = (
+    "n_x1", "n_x2", "n_theta", "dt", "scheme", "dealias", "cfl_safety", "positivity_tol",
+    "seed", "threads", "amplitude", "max_mode",
+)
+
+
 def build_config(
     mapping: dict,
     kind: ExperimentKind,
@@ -161,17 +171,16 @@ def build_config(
     )
 
 
+# the manifest's header lines, above its resolved configuration
+MANIFEST_HEADER_KEYS = ("code_version", "config_hash", "rng_seed", "kind")
+
+
 def write_manifest(cfg: ExperimentConfig) -> None:
     """Text manifest in ``cfg.out_dir`` sufficient to reproduce the run."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    lines = [
-        f"code_version = {__version__}",
-        f"config_hash = {cfg.digest}",
-        f"rng_seed = {cfg.seed}",
-        f"kind = {cfg.kind.value}",
-        "",
-        "# resolved configuration",
-    ]
+    header = (__version__, cfg.digest, cfg.seed, cfg.kind.value)
+    lines = [f"{key} = {value}" for key, value in zip(MANIFEST_HEADER_KEYS, header)]
+    lines += ["", "# resolved configuration"]
     lines += [f"{key} = {cfg.mapping[key]}" for key in sorted(cfg.mapping)]
     with open(os.path.join(cfg.out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -232,12 +241,12 @@ def random_band_limited_state(
     return state_from_density(grid, params, f)
 
 
-def bump_density(grid: SpectralGrid, l6_target: float, width: float = 0.08) -> np.ndarray:
+def bump_density(grid: SpectralGrid, l6_target: float) -> np.ndarray:
     """Angular marginal rho >= 0 with unit mass and a prescribed L^6 norm.
 
-    rho = 1 + A (G - mean G) with G a periodic Gaussian bump; A is found
-    by bisection (the norm is strictly increasing in A).  ``l6_target``
-    must be >= 1 and below the positivity cap for the chosen width.
+    rho = 1 + A (G - mean G) with G a periodic Gaussian bump of width
+    ``_BUMP_WIDTH``; A is found by Brent's method (the norm is strictly
+    increasing in A).  ``l6_target`` must be >= 1 and below the positivity cap.
     """
     if l6_target < 1.0:
         raise ValueError(f"l6_target must be >= 1, got {l6_target}")
@@ -245,7 +254,7 @@ def bump_density(grid: SpectralGrid, l6_target: float, width: float = 0.08) -> n
     x2 = grid.x2[None, :]
     d1 = np.minimum(np.abs(x1 - 0.5), 1.0 - np.abs(x1 - 0.5))
     d2 = np.minimum(np.abs(x2 - 0.5), 1.0 - np.abs(x2 - 0.5))
-    bump = np.exp(-(d1 * d1 + d2 * d2) / (width * width))
+    bump = np.exp(-(d1 * d1 + d2 * d2) / (_BUMP_WIDTH * _BUMP_WIDTH))
     bump -= bump.mean()
 
     def norm_at(a: float) -> float:
@@ -257,17 +266,14 @@ def bump_density(grid: SpectralGrid, l6_target: float, width: float = 0.08) -> n
     a_max = -1.0 / float(np.min(bump))  # positivity cap
     if norm_at(a_max) < l6_target:
         raise ValueError(
-            f"l6_target {l6_target} unreachable with width {width} "
+            f"l6_target {l6_target} unreachable with width {_BUMP_WIDTH} "
             f"(cap {norm_at(a_max):.3f})"
         )
-    lo, hi = 0.0, a_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) < l6_target:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 + 0.5 * (lo + hi) * bump
+    a = scipy.optimize.brentq(
+        lambda a: norm_at(a) - l6_target, 0.0, a_max,
+        xtol=1.0e-300, rtol=4.0 * np.finfo(float).eps,
+    )
+    return 1.0 + a * bump
 
 
 def _real_unstable(mu: complex) -> bool:
@@ -437,7 +443,6 @@ def run_growth_match(
     t_end: float | None = None,
     amplitude_rel: float = 1.0e-6,
     n_modes: int = 64,
-    n_samples: int = 60,
 ) -> dict:
     """Seed the four orthogonal eigenfunctions and match growth rates.
 
@@ -453,32 +458,19 @@ def run_growth_match(
     unstable = _real_unstable(mu)
 
     if t_end is None:
-        if unstable:
-            t_end = 0.95 * math.log(1.0e3) / mu.real
-        else:
-            t_end = 2.0
-    n_steps = max(int(math.ceil(t_end / stepper.dt)), n_samples)
+        t_end = 0.95 * math.log(1.0e3) / mu.real if unstable else 2.0
+    n_steps = max(int(math.ceil(t_end / stepper.dt)), _GROWTH_SAMPLES)
     t_end = n_steps * stepper.dt
-    stride = max(1, n_steps // n_samples)
+    stride = max(1, n_steps // _GROWTH_SAMPLES)
 
-    # Gram matrix of the raw seed fields
-    vectors = [seed_hat for _, _, seed_hat in seeds]
-    gram = np.zeros((4, 4))
-    w3 = grid.half_weights[None, :, None]
-    n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
-    for i in range(4):
-        for j in range(4):
-            gram[i, j] = (
-                TWO_PI
-                * float(np.sum(w3 * (vectors[i] * np.conj(vectors[j])).real))
-                / n_tot**2
-            )
-    off_diag = max(
-        abs(gram[i, j]) / math.sqrt(gram[i, i] * gram[j, j])
-        for i in range(4)
-        for j in range(4)
-        if i != j
-    )
+    # half-axis-weighted Gram matrix, up to a factor the normalisation cancels;
+    # Re<a, b> is the dot product of the float views of a and b
+    root_w = np.sqrt(grid.half_weights)[None, :, None]
+    vectors = np.stack([(root_w * seed_hat).ravel() for _, _, seed_hat in seeds]).view(float)
+    gram = vectors @ vectors.T
+    scale = np.sqrt(np.diag(gram))
+    normalised = np.abs(gram) / np.outer(scale, scale)
+    off_diag = float(np.max(normalised[~np.eye(len(seeds), dtype=bool)]))
 
     table = []
     for name, state, _ in seeds:

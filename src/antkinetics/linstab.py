@@ -14,7 +14,10 @@ angular response integral
                       / (mu^2 + lam^2 cos^2 t) dt
 
 (tau, lam the reduced look-ahead and drift, mu the candidate rate), for
-which a closed form exists.  The same linearization truncated in an
+which a closed form exists.  The relation is chi J = 1 (divided by mu + nu
+for the parabolic coupling), and its left side g(mu) strictly decreases,
+so the positive root is bracketed by doubling and found by Brent's method
+(scipy.optimize.brentq) to a few ulp.  The same linearization truncated in an
 angular Fourier basis gives a dense matrix whose rightmost eigenvalue
 cross-checks the root, works for sigma > 0 where no closed form exists,
 and provides eigenfunctions for seeding simulations.
@@ -48,13 +51,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .params import Coupling, ReducedParams
 from .spectral import SpectralGrid
 
 TWO_PI = 2.0 * math.pi
 
-_MAX_BISECTIONS = 200
 _ROOT_RESIDUAL_TOL = 1.0e-12
 
 
@@ -123,10 +126,10 @@ def _dispersion_map(rp: ReducedParams, coupling: Coupling):
 def find_unstable_root(rp: ReducedParams, coupling: Coupling):
     """Positive growth rate of the inviscid (sigma = 0) single-mode relation.
 
-    Solves g(mu) = 1 by bisection on [0, mu_hi], doubling mu_hi until the
-    strictly decreasing map drops below 1.  Returns :class:`NoRoot` when
-    g(0) <= 1 (at or below threshold) and raises if 200 bisections cannot
-    push the residual under 1e-12.
+    Returns :class:`NoRoot` when g(0) <= 1 (at or below threshold).
+    Otherwise doubles mu_hi until the strictly decreasing map drops below 1
+    and solves g(mu) = 1 on [0, mu_hi] by Brent's method to a few ulp of the
+    root; raises if the residual |g(mu0) - 1| exceeds 1e-12.
     """
     g = _dispersion_map(rp, coupling)
     g0 = g(0.0)
@@ -139,29 +142,15 @@ def find_unstable_root(rp: ReducedParams, coupling: Coupling):
         doublings += 1
         if doublings > 200:
             raise RuntimeError("dispersion root bracket did not close")
-    lo = 0.0
-    mid = 0.5 * hi
-    best_mu, best_res = mid, abs(g(mid) - 1.0)
-    for iteration in range(1, _MAX_BISECTIONS + 1):
-        mid = 0.5 * (lo + hi)
-        value = g(mid)
-        res = abs(value - 1.0)
-        if res < best_res:
-            best_mu, best_res = mid, res
-        if res <= 1.0e-13:
-            return DispersionResult(mid, res, (lo, hi), iteration)
-        if value > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1.0e-16 * max(1.0, hi):
-            break
-    if best_res <= _ROOT_RESIDUAL_TOL:
-        return DispersionResult(best_mu, best_res, (lo, hi), _MAX_BISECTIONS)
-    raise RuntimeError(
-        f"dispersion root did not converge in {_MAX_BISECTIONS} bisections "
-        f"(best residual {best_res:.3e})"
+    # brentq's tightest tolerances: the root to a few ulp, even near threshold
+    mu0, info = scipy.optimize.brentq(
+        lambda mu: g(mu) - 1.0, 0.0, hi,
+        xtol=1.0e-300, rtol=4.0 * np.finfo(float).eps, full_output=True,
     )
+    residual = abs(g(mu0) - 1.0)
+    if residual > _ROOT_RESIDUAL_TOL:
+        raise RuntimeError(f"dispersion root residual {residual:.3e} exceeds {_ROOT_RESIDUAL_TOL}")
+    return DispersionResult(mu0, residual, (0.0, hi), info.iterations)
 
 
 # --- eigenfunctions --------------------------------------------------------------

@@ -14,10 +14,10 @@ those and nothing else.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import hashlib
 import math
-from dataclasses import dataclass, replace
 from typing import Mapping
 
 TWO_PI = 2.0 * math.pi
@@ -44,7 +44,7 @@ def _coerce_coupling(value) -> Coupling:
     raise ValueError(f"coupling must be 'parabolic' or 'elliptic', got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ModelParams:
     """Raw model parameters.
 
@@ -79,24 +79,13 @@ class ModelParams:
         object.__setattr__(self, "gamma", gamma)
 
     def replace(self, **changes) -> "ModelParams":
-        fields = self.as_dict()
-        fields.update(changes)
-        return ModelParams(**fields)
+        return dataclasses.replace(self, **changes)
 
     def as_dict(self) -> dict:
-        return {
-            "sigma_x": self.sigma_x,
-            "sigma_theta": self.sigma_theta,
-            "sigma_c": self.sigma_c,
-            "gamma": self.gamma,
-            "lam": self.lam,
-            "chi": self.chi,
-            "tau": self.tau,
-            "coupling": self.coupling,
-        }
+        return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ReducedParams:
     """Scalar combinations governing the wavenumber-k linearization.
 
@@ -125,7 +114,7 @@ class ReducedParams:
         sigma = float(sigma)
         if not math.isfinite(sigma) or sigma < 0.0:
             raise ValueError(f"sigma must be a finite nonnegative real, got {sigma}")
-        return replace(self, sigma=sigma)
+        return dataclasses.replace(self, sigma=sigma)
 
 
 def reduce_params(params: ModelParams, k: int) -> ReducedParams:

@@ -1,13 +1,22 @@
 """End-to-end tests of the command-line interface (exit codes, JSON output)."""
 
+import argparse
 import csv
 import json
 import re
 
 import pytest
 
-from antkinetics.cli import _parse_chi_grid, _parse_sigma_sweep, main
-from antkinetics.params import inviscid_threshold_chi, model_params_from_mapping
+from antkinetics import cli
+from antkinetics.cli import _parse_chi_grid, _parse_sigma_sweep, build_parser, main
+from antkinetics.dynamics import homogeneous_state, write_checkpoint
+from antkinetics.experiments import ExperimentKind
+from antkinetics.params import (
+    inviscid_threshold_chi,
+    model_params_from_mapping,
+    parse_config_text,
+)
+from antkinetics.spectral import SpectralGrid
 
 CONFIG_TEXT = """\
 # small grid for fast end-to-end checks
@@ -62,6 +71,14 @@ class TestArgumentParsing:
     def test_chi_grid_grammar(self):
         assert _parse_chi_grid("1.0, 2.5,4") == [1.0, 2.5, 4.0]
 
+    def test_every_subcommand_has_a_handler_and_a_kind(self):
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert len(sub.choices) == 6
+        for name, parser in sub.choices.items():
+            assert callable(parser.get_default("handler")), name
+            assert isinstance(parser.get_default("kind"), ExperimentKind), name
+
 
 class TestErrors:
     def test_missing_config_flag(self, capsys):
@@ -82,6 +99,20 @@ class TestErrors:
         code, out, err = run_cli(["dispersion", "--k", "1", "--config", str(path)], capsys)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: config line 7: expected 'key = value'")
+
+    @pytest.mark.parametrize("line", ["ntheta = 16", "d_t = 0.002"])
+    def test_unknown_config_key_is_refused(self, tmp_path, capsys, line):
+        path = tmp_path / "model.cfg"
+        path.write_text(CONFIG_TEXT + line + "\n")
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            ["simulate", "--t-end", "0.004", "--config", str(path), "--out", str(out_dir)],
+            capsys,
+        )
+        key = line.split(" =")[0]
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: unknown config key '{key}'")
+        assert not out_dir.exists()
 
     def test_bad_flag_value(self, config, capsys):
         code, _, err = run_cli(
@@ -189,6 +220,13 @@ class TestScan:
         assert (out_dir / "manifest.txt").exists()
 
 
+    def test_failed_check_exits_two(self, config, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_instability_scan",
+                            lambda cfg, k_max, n_modes: {"rows": [], "ok": False})
+        code, out, _ = run_cli(["scan", "--k-max", "1", "--config", config], capsys)
+        assert code == 2 and json.loads(out) == {"rows": [], "ok": False}
+
+
 class TestGrowthMatch:
     def test_unstable_family_matches_and_serializes(self, config, tmp_path, capsys):
         # the unstable branch once leaked a numpy bool into the JSON report
@@ -206,6 +244,12 @@ class TestGrowthMatch:
         assert result["ok"] is True
         assert (out_dir / "growth_match.csv").exists()
         assert (out_dir / "growth_match.json").exists()
+
+
+    def test_failed_check_exits_two(self, config, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_growth_match", lambda cfg, k, **kw: {"ok": False})
+        code, out, _ = run_cli(["growth-match", "--k", "1", "--config", config], capsys)
+        assert code == 2 and json.loads(out) == {"ok": False}
 
 
 class TestStabilitySweep:
@@ -315,6 +359,29 @@ class TestSimulate:
         hashes = re.findall(r"\b[0-9a-f]{64}\b", err)
         assert len(hashes) == 2 and hashes[0] == stored and hashes[1] != stored
         assert not (tmp_path / "resumed").exists()
+
+    def test_resume_from_an_unstamped_checkpoint_is_refused(self, config, tmp_path, capsys):
+        params = model_params_from_mapping(parse_config_text(CONFIG_TEXT))
+        ckpt = tmp_path / "ckpt"
+        write_checkpoint(ckpt, homogeneous_state(SpectralGrid(16, 16, 16), params), "")
+        code, out, err = run_cli(
+            [
+                "simulate", "--t-end", "0.004", "--resume", str(ckpt),
+                "--config", config, "--out", str(tmp_path / "resumed"),
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "different configuration (hash missing != " in err
+        assert not (tmp_path / "resumed").exists()
+
+    def test_manifest_fed_back_as_config_reproduces_itself(self, config, tmp_path, capsys):
+        argv = ["simulate", "--t-end", "0.004", "--rng-seed", "3"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(argv + ["--config", config, "--out", str(first)], capsys)[0] == 0
+        manifest = str(first / "manifest.txt")
+        assert run_cli(argv + ["--config", manifest, "--out", str(second)], capsys)[0] == 0
+        assert (second / "manifest.txt").read_bytes() == (first / "manifest.txt").read_bytes()
 
     def test_equal_values_hash_alike(self, config, tmp_path, capsys):
         """chi = 4 and chi = 4.0 are one model, and the seed is not hashed."""

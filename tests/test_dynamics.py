@@ -42,7 +42,6 @@ def grid():
 def test_scheme_coercion_and_validation():
     cfg = StepperConfig(dt=1e-3, scheme="imex_euler")
     assert cfg.scheme is Scheme.IMEX_EULER
-    assert Scheme.IMEX_EULER.order == 1 and Scheme.ETDRK2.order == 2
     with pytest.raises(ValueError):
         StepperConfig(dt=1e-3, scheme="rk9")
     with pytest.raises(ValueError):
@@ -216,6 +215,15 @@ def test_checkpoint_rejects_foreign_configuration(tmp_path, grid):
     write_checkpoint(tmp_path / "ckpt", homogeneous_state(grid, p), "digest-a")
     with pytest.raises(ValueError, match="configuration"):
         read_checkpoint(tmp_path / "ckpt", "digest-b")
+
+
+def test_checkpoint_with_an_empty_stamp_is_refused_under_a_digest(tmp_path, grid):
+    """An empty stamp still loads without a digest, but matches no digest."""
+    p = params()
+    write_checkpoint(tmp_path / "ckpt", homogeneous_state(grid, p), "")
+    assert read_checkpoint(tmp_path / "ckpt").step == 0
+    with pytest.raises(ValueError, match="hash missing != digest-a"):
+        read_checkpoint(tmp_path / "ckpt", "digest-a")
 
 
 def test_checkpoint_restores_non_representable_times(tmp_path, grid):

@@ -150,6 +150,11 @@ class TestBumpDensity:
         l6 = float(np.mean(rho**6.0) ** (1.0 / 6.0))
         assert abs(l6 - target) < 1e-6 * target
 
+    @pytest.mark.parametrize("target", [1.5, 3.0, 10.0])
+    def test_norm_hits_the_target_to_round_off(self, grid, target):
+        l6 = float(np.mean(bump_density(grid, target) ** 6.0) ** (1.0 / 6.0))
+        assert abs(l6 - target) <= 2.0 * np.spacing(target)
+
     def test_bad_targets_raise(self, grid):
         with pytest.raises(ValueError, match=">= 1"):
             bump_density(grid, 0.5)
@@ -249,6 +254,15 @@ class TestGrowthMatch:
         cfg = build_config(mapping(chi="4.0"), ExperimentKind.GROWTH_MATCH)
         result = run_growth_match(cfg, 1, t_end=0.2, n_modes=32)
         assert result["gram_off_diagonal"] < 1e-10
+        # entry-by-entry reference; normalised entries lie in [0, 1], so
+        # float64 sums over the grid agree to well within 1e-13
+        _, seeds = eigen_seed_states(cfg, 1, 1e-6, n_modes=32)
+        w3 = cfg.grid.half_weights[None, :, None]
+        gram = np.array([[float(np.sum(w3 * (a * np.conj(b)).real)) for _, _, b in seeds]
+                         for _, _, a in seeds])
+        reference = max(abs(gram[i, j]) / math.sqrt(gram[i, i] * gram[j, j])
+                        for i in range(4) for j in range(4) if i != j)
+        assert abs(result["gram_off_diagonal"] - reference) <= 1e-13
 
 
 class TestStabilitySweep:
@@ -351,7 +365,7 @@ class TestInitialState:
         assert abs(float(np.mean(rho**6.0) ** (1.0 / 6.0)) - 3.0) < 1e-5
 
         ckpt = tmp_path / "ckpt"
-        write_checkpoint(str(ckpt), a, "")
+        write_checkpoint(str(ckpt), a, cfg.digest)
         restored = initial_state(cfg, f"checkpoint:{ckpt}")
         assert np.array_equal(restored.f_hat, a.f_hat)
 

@@ -25,7 +25,13 @@ from antkinetics.linstab import (
     viscous_eigenfunction,
     viscous_spectrum,
 )
-from antkinetics.params import Coupling, ModelParams, ReducedParams, reduce_params
+from antkinetics.params import (
+    Coupling,
+    ModelParams,
+    ReducedParams,
+    inviscid_threshold_chi,
+    reduce_params,
+)
 from antkinetics.spectral import SpectralGrid
 
 TWO_PI = 2.0 * math.pi
@@ -142,6 +148,45 @@ class TestUnstableRoot:
         above = find_unstable_root(rp_inviscid(1.0 + eps), Coupling.ELLIPTIC)
         assert isinstance(above, DispersionResult)
         assert 0.0 < above.mu0 < 1e-6
+
+
+def _root_cases():
+    """The roots above, c02's near-threshold chi sequence and a k, tau grid."""
+    elliptic, parabolic = Coupling.ELLIPTIC, Coupling.PARABOLIC
+    cases = [
+        pytest.param(rp_inviscid(2.0), elliptic, id="closed-form"),
+        pytest.param(rp_inviscid(2.0, sigma_x_breve=0.5), elliptic, id="shifted"),
+        pytest.param(rp_inviscid(2.0, tau_breve=TWO_PI * 0.3), elliptic, id="alignment"),
+        pytest.param(rp_inviscid(2.0, nu_breve=1.0), parabolic, id="parabolic-frozen"),
+        pytest.param(rp_inviscid(1.0 + 1e-9), elliptic, id="just-above-threshold"),
+    ]
+    for coupling in (elliptic, parabolic):
+        base = ModelParams(sigma_x=0.0, sigma_theta=0.0, sigma_c=0.05, gamma=1.0,
+                           lam=1.0, chi=1.0, tau=0.25, coupling=coupling)
+        chi_star = inviscid_threshold_chi(base, 1)
+        cases += [
+            pytest.param(reduce_params(base.replace(chi=chi_star * (1.0 + 4.0**-j)), 1),
+                         coupling, id=f"{coupling.value}-near-threshold-{j}")
+            for j in range(10)
+        ]
+        for k in (1, 2, 3):
+            for tau in (0.0, 1.3):
+                tilted = base.replace(sigma_x=0.002, tau=tau)
+                chi = 3.0 * inviscid_threshold_chi(tilted, k)
+                cases.append(pytest.param(reduce_params(tilted.replace(chi=chi), k), coupling,
+                                          id=f"{coupling.value}-k{k}-tau{tau}"))
+    return cases
+
+
+@pytest.mark.parametrize("rp, coupling", _root_cases())
+def test_root_is_bracketed_within_8_ulp(rp, coupling):
+    """g - 1 changes sign (or vanishes) across mu0 -+ 8 ulp: the root is solved
+    to round-off, not just to a small residual."""
+    root = find_unstable_root(rp, coupling)
+    g = linstab._dispersion_map(rp, coupling)
+    step = 8.0 * np.spacing(root.mu0)
+    assert g(root.mu0 - step) >= 1.0 >= g(root.mu0 + step)
+    assert root.bracket[0] == 0.0
 
 
 class TestEigenfunctions:

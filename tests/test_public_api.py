@@ -1,5 +1,5 @@
 """The package's public surface: ``__all__``, the README library example and
-the names the benchmark traces."""
+config block, and the names the benchmark traces."""
 
 import importlib.util
 import pathlib
@@ -7,6 +7,8 @@ import re
 
 import antkinetics
 import antkinetics.cli  # noqa: F401  (loads every module the traced names live in)
+from antkinetics.experiments import OPTIONAL_KEYS
+from antkinetics.params import MODEL_KEYS, parse_config_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -26,6 +28,13 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(blocks[0], namespace)
     assert namespace["root"].mu0 > 0.0
+
+
+def test_readme_config_block_lists_every_accepted_key():
+    """The README's ini block holds the model keys and every optional key."""
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 1
+    assert sorted(parse_config_text(blocks[0])) == sorted(MODEL_KEYS + OPTIONAL_KEYS)
 
 
 def test_every_traced_name_resolves():
