@@ -22,9 +22,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import takewhile
 
 import numpy as np
-import scipy.signal
 
 from .dynamics import PhaseState, marginal_hat
 from .params import ModelParams
@@ -34,7 +34,7 @@ TWO_PI = 2.0 * math.pi
 
 LP_ORDERS = (1, 2, 6)
 
-# a trail is a maximum whose prominence exceeds this share of the profile range
+# a trail is a maximum whose prominence reaches this share of the profile range
 _TRAIL_PROMINENCE = 0.05
 
 
@@ -82,9 +82,17 @@ def count_trails(rho: np.ndarray, grid) -> int:
     """Number of parallel ridges in the angular marginal rho.
 
     The dominant spatial direction comes from rho's own spectrum; rho is
-    averaged along the other axis and maxima of the periodic profile are
-    counted with a prominence threshold of ``_TRAIL_PROMINENCE`` of the
-    profile range.
+    averaged along the other axis, and the periodic profile is rolled to
+    start at its minimum and closed with that sample again.  The ridges are
+    the peaks of this closed profile whose prominence is >= h, with h
+    ``_TRAIL_PROMINENCE`` of the profile range, which is the count that
+    ``scipy.signal.find_peaks(profile, prominence=h)`` gives:
+
+    - a peak is a sample higher than the one before it and than the next
+      different one after it, so a plateau counts once; the first and last
+      samples are never peaks;
+    - its prominence is its height minus the larger of the lowest values
+      met walking left and walking right from it while no sample is higher.
     """
     mode = _peak_mode(np.abs(fft2(rho)), grid, 1.0e-10)
     if mode is None:
@@ -96,8 +104,26 @@ def count_trails(rho: np.ndarray, grid) -> int:
         return 0
     rolled = np.roll(profile, -int(np.argmin(profile)))
     extended = np.concatenate([rolled, rolled[:1]])
-    peaks, _ = scipy.signal.find_peaks(extended, prominence=_TRAIL_PROMINENCE * span)
-    return int(len(peaks))
+    return _prominent_peaks(extended.tolist(), _TRAIL_PROMINENCE * span)
+
+
+def _prominent_peaks(x: list, h: float) -> int:
+    """Number of peaks of the list x with prominence >= h, by the rule in
+    :func:`count_trails`."""
+    count, last, i = 0, len(x) - 1, 1
+    while i < last:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < last and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                top = x[i]
+                left = min(takewhile(lambda v: v <= top, reversed(x[:i])))
+                right = min(takewhile(lambda v: v <= top, x[ahead:]))
+                count += top - max(left, right) >= h
+                i = ahead
+        i += 1
+    return count
 
 
 def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRecord:

@@ -382,14 +382,16 @@ def run(
 ) -> RunResult:
     """Advance to t_end, sampling observers every ``stride`` steps.
 
-    t_end must be an integer number of steps away from state.t.  Observers
-    are callables receiving the current state; they are invoked on the
-    initial state (unless suppressed), on every stride-th step, and on the
-    final one.  The positivity flag covers every state the run steps from
-    and the final one.  With ``checkpoint_dir`` the final state is
+    t_end must be finite and an integer number of steps away from state.t.
+    Observers are callables receiving the current state; they are invoked
+    on the initial state (unless suppressed), on every stride-th step, and
+    on the final one.  The positivity flag covers every state the run steps
+    from and the final one.  With ``checkpoint_dir`` the final state is
     checkpointed, and with ``checkpoint_every`` also every that many steps
     before it.  The input state is left unchanged.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     dt = cfg.dt
     span = t_end - state.t
     if span < -1.0e-12:

@@ -248,7 +248,7 @@ def bump_density(grid: SpectralGrid, l6_target: float) -> np.ndarray:
     ``_BUMP_WIDTH``; A is found by Brent's method (the norm is strictly
     increasing in A).  ``l6_target`` must be >= 1 and below the positivity cap.
     """
-    if l6_target < 1.0:
+    if not l6_target >= 1.0:
         raise ValueError(f"l6_target must be >= 1, got {l6_target}")
     x1 = grid.x1[:, None]
     x2 = grid.x2[None, :]
@@ -290,11 +290,14 @@ def eigen_seed_states(
     eigenvalue of the truncated wavenumber-k operator at the configured
     viscosities; seeds are the modes for the means W = 1 and W = i (the
     profile u and i u) and their quarter-turn images, each normalized to
-    unit L^2 norm and scaled by amplitude_rel * ||uniform state||; seed_hat
-    is ``fft3`` of the unscaled seed field.  For stable or oscillatory
-    rightmost eigenvalues the profiles are built at a safe positive rate
-    instead (any smooth seed decays there).
+    unit L^2 norm and scaled by amplitude_rel * ||uniform state||, where
+    amplitude_rel must be finite and positive; seed_hat is ``fft3`` of the
+    unscaled seed field.  For stable or oscillatory rightmost eigenvalues
+    the profiles are built at a safe positive rate instead (any smooth seed
+    decays there).
     """
+    if not (math.isfinite(amplitude_rel) and amplitude_rel > 0.0):
+        raise ValueError(f"amplitude must be finite and positive, got {amplitude_rel}")
     params, grid = cfg.params, cfg.grid
     rp = reduce_params(params, k)
     spectrum = viscous_spectrum(rp, n_modes, params.coupling)
@@ -452,6 +455,8 @@ def run_growth_match(
     and a diagonal Gram matrix when a positive eigenvalue exists, negative
     rates otherwise.
     """
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     params, grid, stepper = cfg.params, cfg.grid, cfg.stepper
     spectrum, seeds = eigen_seed_states(cfg, k, amplitude_rel, n_modes)
     mu = spectrum.rightmost
@@ -551,6 +556,8 @@ def run_stability_sweep(
     if chi_values is None:
         chi_values = [0.0, 0.4 * chi_star, 0.8 * chi_star, 1.2 * chi_star, 1.6 * chi_star]
     chi_values = sorted(float(c) for c in chi_values)
+    if not chi_values:
+        raise ValueError(f"the chi grid must hold at least one chi, got {chi_values}")
 
     base_state = initial_state(cfg, "random")
     dev_cap = 0.2 / math.sqrt(TWO_PI)  # stop well before trails saturate

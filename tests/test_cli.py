@@ -133,6 +133,34 @@ class TestErrors:
         assert err.startswith("error: sigma must be a finite nonnegative real")
         assert f"got {named}" in err
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("simulate --t-end inf", "t_end must be finite, got inf"),
+            ("simulate --t-end nan", "t_end must be finite, got nan"),
+            ("growth-match --k 1 --t-end inf", "t_end must be finite, got inf"),
+            ("growth-match --k 1 --t-end nan", "t_end must be finite, got nan"),
+            ("stability-sweep --t-end inf", "t_end must be finite, got inf"),
+            ("stability-sweep --t-end nan", "t_end must be finite, got nan"),
+            ("growth-match --k 1 --amplitude=-1",
+             "amplitude must be finite and positive, got -1.0"),
+            ("growth-match --k 1 --amplitude 0",
+             "amplitude must be finite and positive, got 0.0"),
+            ("growth-match --k 1 --amplitude nan",
+             "amplitude must be finite and positive, got nan"),
+            ("stability-sweep --chi-grid ,", "the chi grid must hold at least one chi, got []"),
+            ("simulate --t-end 0.004 --init bump:nan", "l6_target must be >= 1, got nan"),
+        ],
+    )
+    def test_bad_value_is_refused_naming_it(self, config, tmp_path, capsys, command, message):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            command.split() + ["--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_scan_needs_a_wavenumber(self, config, tmp_path, capsys):
         out_dir = tmp_path / "scan"
         code, out, err = run_cli(

@@ -7,9 +7,12 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from antkinetics.diagnostics import (
+    _TRAIL_PROMINENCE,
     ObservableCollector,
+    _prominent_peaks,
     compute_observables,
     count_trails,
     dissipation_residual,
@@ -108,6 +111,71 @@ class TestCountTrails:
             + 0.005 * np.cos(6.0 * TWO_PI * grid.x1)
         )[:, None] * np.ones(grid.shape_phys2)
         assert count_trails(rho, grid) == 2
+
+    def test_profiles_count_as_find_peaks_counts_them(self, grid):
+        rng = np.random.default_rng(13)
+        for i in range(300):
+            rho = periodic_profile(i, grid.n_x1, rng)[:, None] * np.ones(grid.shape_phys2)
+            assert count_trails(rho, grid) == reference_trails(rho.mean(axis=1))
+
+
+def periodic_profile(i, size, rng):
+    """Gaussian noise, integers 0-3 (plateaus and ties) or a quantised
+    sinusoid, by i mod 3."""
+    if i % 3 == 0:
+        return 1.0 + rng.standard_normal(size)
+    if i % 3 == 1:
+        return rng.integers(0, 4, size).astype(float)
+    phase = TWO_PI * int(rng.integers(1, 5)) * np.arange(size) / size + rng.uniform(0.0, TWO_PI)
+    return np.round(8.0 * np.sin(phase)) / 8.0
+
+
+def closed(profile):
+    """The profile rolled to start at its minimum and closed with it, as
+    count_trails forms it."""
+    rolled = np.roll(profile, -int(np.argmin(profile)))
+    return np.concatenate([rolled, rolled[:1]])
+
+
+def reference_trails(profile):
+    """count_trails' peak count, taken from scipy.signal.find_peaks."""
+    extended = closed(profile)
+    span = float(np.max(extended) - np.min(extended))
+    return len(scipy.signal.find_peaks(extended, prominence=_TRAIL_PROMINENCE * span)[0])
+
+
+class TestProminentPeaks:
+    """The peak count is exactly that of scipy.signal.find_peaks(x, prominence=h)."""
+
+    def test_fixed_seed_corpus(self):
+        rng = np.random.default_rng(7)
+        mismatches = []
+        for i in range(3000):
+            x = closed(periodic_profile(i, int(rng.integers(4, 70)), rng))
+            span = float(np.max(x) - np.min(x))
+            for h in (0.0, 0.05 * span, 0.5 * span, span):
+                expect = len(scipy.signal.find_peaks(x, prominence=h)[0])
+                if _prominent_peaks(x.tolist(), h) != expect:
+                    mismatches.append((x.tolist(), h, expect))
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "x, h",
+        [
+            ([0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0], 0.0),  # a plateau peaks once
+            ([0.0, 1.0, 2.0, 2.0], 0.0),  # a plateau into the last sample does not
+            ([0.0, 2.0, 1.0, 0.0, 0.0], 0.0),  # a plateau at the closing sample
+            ([0.0, 1.0, 0.0, 2.0, 0.0, 0.0], 1.0),
+            ([0.0, 2.0, 0.0, 2.0, 0.0], 2.0),  # tied peaks, each of prominence h
+            ([0.0, 3.0, 1.0, 2.0, 0.0], 1.0),  # prominence exactly h counts
+            ([0.0, 3.0, 1.0, 2.0, 0.0], 1.0 + 1.0e-15),
+            ([0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.0], 0.5),
+            ([0.0, 0.0, 0.0], 0.0),
+        ],
+    )
+    def test_plateaus_ties_and_threshold(self, x, h):
+        expect = len(scipy.signal.find_peaks(np.array(x), prominence=h)[0])
+        assert _prominent_peaks(x, h) == expect
 
 
 class TestComputeObservables:

@@ -1,9 +1,13 @@
 """The package's public surface: ``__all__``, the README library example and
-config block, and the names the benchmark traces."""
+config block, the names the benchmark traces, and what importing the CLI
+loads."""
 
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import antkinetics
 import antkinetics.cli  # noqa: F401  (loads every module the traced names live in)
@@ -50,3 +54,16 @@ def test_every_traced_name_resolves():
             if not callable(getattr(owner, attr, None)):
                 missing.append(dotted)
     assert missing == []
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
+    """Checked in a fresh interpreter, so a transitive import shows too."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(antkinetics.__file__).parent.parent))
+    probe = (
+        "import sys, antkinetics.cli; "
+        "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert loaded == "[]"
