@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,7 +43,15 @@ def _parse_sigma_sweep(text: str) -> np.ndarray:
         return np.array([float(parts[0])])
     if len(parts) != 3:
         raise ValueError(f"expected 'a:b:n', got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = float(parts[0]), float(parts[1])
+    for end in (lo, hi):
+        if not math.isfinite(end):
+            raise ValueError(f"sigma must be a finite nonnegative real, got {end}")
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ValueError(f"sweep {text!r}: the point count must be an integer, "
+                         f"got {parts[2]!r}") from None
     if count < 1:
         raise ValueError("sweep needs at least one point")
     return np.linspace(lo, hi, count)

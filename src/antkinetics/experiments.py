@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import __version__
 from .diagnostics import (
@@ -157,6 +156,8 @@ def build_config(
     )
     resolved_seed = seed if seed is not None else _get(mapping, "seed", 0, int)
     resolved_threads = threads if threads is not None else _get(mapping, "threads", 1, int)
+    if resolved_threads < 1:
+        raise ValueError(f"threads must be >= 1, got {resolved_threads}")
     resolved = dict(mapping)
     resolved["seed"] = resolved_seed
     return ExperimentConfig(
@@ -167,7 +168,7 @@ def build_config(
         mapping=resolved,
         out_dir=out_dir,
         seed=int(resolved_seed),
-        threads=max(1, int(resolved_threads)),
+        threads=int(resolved_threads),
     )
 
 
@@ -269,6 +270,8 @@ def bump_density(grid: SpectralGrid, l6_target: float) -> np.ndarray:
             f"l6_target {l6_target} unreachable with width {_BUMP_WIDTH} "
             f"(cap {norm_at(a_max):.3f})"
         )
+    import scipy.optimize  # here, not at the top: commands that find no root skip scipy
+
     a = scipy.optimize.brentq(
         lambda a: norm_at(a) - l6_target, 0.0, a_max,
         xtol=1.0e-300, rtol=4.0 * np.finfo(float).eps,
@@ -457,6 +460,8 @@ def run_growth_match(
     """
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end is not None and t_end <= 0.0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     params, grid, stepper = cfg.params, cfg.grid, cfg.stepper
     spectrum, seeds = eigen_seed_states(cfg, k, amplitude_rel, n_modes)
     mu = spectrum.rightmost

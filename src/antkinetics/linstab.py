@@ -50,8 +50,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .params import Coupling, ReducedParams
 from .spectral import SpectralGrid
@@ -142,6 +140,8 @@ def find_unstable_root(rp: ReducedParams, coupling: Coupling):
         doublings += 1
         if doublings > 200:
             raise RuntimeError("dispersion root bracket did not close")
+    import scipy.optimize  # here, not at the top: commands that find no root skip scipy
+
     # brentq's tightest tolerances: the root to a few ulp, even near threshold
     mu0, info = scipy.optimize.brentq(
         lambda mu: g(mu) - 1.0, 0.0, hi,
@@ -328,8 +328,9 @@ class EigenSpectrum:
 
 
 def rightmost_eigenvalues(*blocks: np.ndarray, doubled: bool = False) -> EigenSpectrum:
-    """Dense spectrum of the direct sum of ``blocks``, with the rightmost
-    eigenvalue and its cluster size.
+    """Dense spectrum of the direct sum of ``blocks`` by ``numpy.linalg.eigvals``
+    (LAPACK dgeev, no eigenvectors), with the rightmost eigenvalue and its
+    cluster size.
 
     With ``doubled`` each eigenvalue is listed twice, as the realification
     of a complex operator L lists them when the blocks are real and similar
@@ -339,7 +340,7 @@ def rightmost_eigenvalues(*blocks: np.ndarray, doubled: bool = False) -> EigenSp
     multiplicity counts those within 1e-8 (1 + |rightmost|) of the
     rightmost one.
     """
-    eigenvalues = np.concatenate([scipy.linalg.eig(block, right=False) for block in blocks])
+    eigenvalues = np.concatenate([np.linalg.eigvals(block) for block in blocks])
     if doubled:
         eigenvalues = np.concatenate([eigenvalues, eigenvalues])
     eigenvalues = eigenvalues[np.lexsort((-eigenvalues.imag, -eigenvalues.real))]

@@ -150,6 +150,14 @@ class TestErrors:
              "amplitude must be finite and positive, got nan"),
             ("stability-sweep --chi-grid ,", "the chi grid must hold at least one chi, got []"),
             ("simulate --t-end 0.004 --init bump:nan", "l6_target must be >= 1, got nan"),
+            ("growth-match --k 1 --t-end=-1", "t_end must be positive, got -1.0"),
+            ("growth-match --k 1 --t-end 0", "t_end must be positive, got 0.0"),
+            ("eigen --k 1 --sigma-sweep 0:inf:3",
+             "sigma must be a finite nonnegative real, got inf"),
+            ("eigen --k 1 --sigma-sweep 0:0.01:2.5",
+             "sweep '0:0.01:2.5': the point count must be an integer, got '2.5'"),
+            ("simulate --t-end 0.004 --threads 0", "threads must be >= 1, got 0"),
+            ("scan --k-max 1 --threads=-3", "threads must be >= 1, got -3"),
         ],
     )
     def test_bad_value_is_refused_naming_it(self, config, tmp_path, capsys, command, message):

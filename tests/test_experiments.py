@@ -78,6 +78,8 @@ class TestBuildConfig:
             build_config(mapping(n_theta="many"), ExperimentKind.SIMULATE)
         with pytest.raises(ValueError, match="chi"):
             build_config(mapping(chi="strong"), ExperimentKind.SIMULATE)
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            build_config(mapping(threads="0"), ExperimentKind.SIMULATE)
 
 
 class TestManifest:

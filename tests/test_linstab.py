@@ -12,6 +12,7 @@ from antkinetics.linstab import (
     NoRoot,
     _complex_operator,
     _gauged_operator,
+    _parity_blocks,
     assemble_viscous_operator,
     dispersion_integral,
     eigen_sweep,
@@ -355,6 +356,23 @@ class TestTruncatedOperator:
         theirs = np.linalg.eigvals(_complex_operator(rp, 16, coupling))
         distance = np.abs(ours[:, None] - theirs[None, :])
         assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) < 1e-10
+
+    @pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
+    @pytest.mark.parametrize("n_modes", [16, 64, 128])
+    def test_eigenvalues_agree_with_scipy_eig(self, coupling, n_modes):
+        """numpy's eigvals and scipy's eig both run dgeev; their OpenBLAS builds
+        may differ, so agreement is asserted to 1e-12 of the largest |lambda|."""
+        import scipy.linalg
+
+        rp = reduce_params(self.params(coupling), 1)
+        gauged = _gauged_operator(rp, n_modes, coupling).real
+        for block in _parity_blocks(gauged, n_modes):
+            ours = rightmost_eigenvalues(block).eigenvalues
+            theirs = scipy.linalg.eig(block, right=False)
+            tol = 1e-12 * np.abs(theirs).max()
+            distance = np.abs(ours[:, None] - theirs[None, :])
+            assert ours.size == theirs.size
+            assert max(distance.min(axis=0).max(), distance.min(axis=1).max()) <= tol
 
     def test_spectrum_is_one_real_eigensolve_call(self, monkeypatch):
         calls = []

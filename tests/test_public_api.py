@@ -3,6 +3,7 @@ config block, the names the benchmark traces, and what importing the CLI
 loads."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -67,3 +68,40 @@ def test_cli_import_loads_neither_scipy_signal_nor_scipy_stats():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.strip()
     assert loaded == "[]"
+
+
+def _scipy_after(tmp_path, *command_lines):
+    """Runs each command line through ``cli.main`` in a fresh interpreter on a
+    16^3 config; returns the exit codes and the scipy modules then loaded."""
+    config = tmp_path / "model.cfg"
+    config.write_text(
+        "sigma_x = 0.002\nsigma_theta = 0.25\nsigma_c = 0.05\ngamma = 1.0\nlambda = 1.0\n"
+        "chi = 4.0\ntau = 0.0\ncoupling = elliptic\nn_x1 = 16\nn_x2 = 16\nn_theta = 16\n"
+        "dt = 2e-3\n"
+    )
+    argvs = [line.split() + ["--config", str(config)] for line in command_lines]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(antkinetics.__file__).parent.parent))
+    probe = (
+        "import contextlib, io, json, sys, antkinetics.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [antkinetics.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+    )
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout)
+
+
+def test_simulate_and_growth_match_load_no_scipy(tmp_path):
+    """Only the root finders import scipy, inside the function that calls it."""
+    codes, modules = _scipy_after(
+        tmp_path, "simulate --t-end 0.006", "growth-match --k 1 --t-end 0.01 --n-modes 16"
+    )
+    assert codes == [0, 0]
+    assert modules == []
+
+
+def test_dispersion_loads_scipy_optimize(tmp_path):
+    codes, modules = _scipy_after(tmp_path, "dispersion --k 1")
+    assert codes == [0]
+    assert "scipy.optimize" in modules
