@@ -2,9 +2,10 @@
 
 Every subcommand's parser carries its handler and experiment kind; a
 handler runs its ``run_*`` driver and returns the result, printed as JSON,
-and whether the driver's built-in check passed.  A ``--config`` key that no
-code reads is refused; the manifest's header keys are dropped, so a
-``manifest.txt`` fed back as ``--config`` reproduces itself.
+and whether the driver's built-in check passed.  ``--config`` is read by
+:func:`~antkinetics.experiments.read_config`; ``--dt``, ``--rng-seed`` and
+``--threads``, when given, overwrite their config keys before the mapping
+is resolved.
 
 Exit codes: 0 on success, 2 when a run finishes but its built-in check
 fails (rate mismatch, scan inconsistency, threshold violation), 1 on
@@ -22,18 +23,17 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
-    MANIFEST_HEADER_KEYS,
-    OPTIONAL_KEYS,
     ExperimentKind,
     build_config,
     dispersion_report,
+    read_config,
     run_eigen,
     run_growth_match,
     run_instability_scan,
     run_simulate,
     run_stability_sweep,
 )
-from .params import MODEL_KEYS, load_config
+from .params import MODEL_KEYS
 
 
 def _parse_sigma_sweep(text: str) -> np.ndarray:
@@ -68,10 +68,8 @@ def _add_global_flags(parser, suppress: bool) -> None:
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument("--config", help="key = value configuration file", **kw)
     parser.add_argument("--out", help="output directory for tables, streams, manifests", **kw)
-    parser.add_argument("--threads", type=int, help="parallel workers for scans",
-                        **(kw or {"default": None}))
-    parser.add_argument("--rng-seed", type=int, help="seed for random initial data",
-                        **(kw or {"default": None}))
+    parser.add_argument("--threads", type=int, help="parallel workers for scans", **kw)
+    parser.add_argument("--rng-seed", type=int, help="seed for random initial data", **kw)
 
 
 def _simulate(cfg, args):
@@ -170,25 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_mapping(args) -> dict:
-    """The ``--config`` mapping without the manifest's header keys; refuses
-    any key that no code reads."""
-    if not args.config:
-        missing = ", ".join(MODEL_KEYS)
-        raise ValueError(f"--config is required (model keys: {missing})")
-    mapping = load_config(args.config)
-    for key in mapping:
-        if key not in MODEL_KEYS + OPTIONAL_KEYS + MANIFEST_HEADER_KEYS:
-            raise ValueError(f"{args.config}: unknown config key {key!r}")
-    return {key: value for key, value in mapping.items() if key not in MANIFEST_HEADER_KEYS}
-
-
 def _dispatch(args) -> int:
-    mapping = _load_mapping(args)
-    if getattr(args, "dt", None) is not None:
-        mapping["dt"] = repr(args.dt)
-    cfg = build_config(mapping, args.kind, out_dir=args.out, seed=args.rng_seed,
-                       threads=args.threads)
+    if not args.config:
+        raise ValueError(f"--config is required (model keys: {', '.join(MODEL_KEYS)})")
+    mapping = read_config(args.config)
+    flags = {"dt": getattr(args, "dt", None), "seed": args.rng_seed, "threads": args.threads}
+    mapping.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = build_config(mapping, args.kind, out_dir=args.out)
     result, passed = args.handler(cfg, args)
     print(json.dumps(result, indent=2))
     return 0 if passed else 2

@@ -402,7 +402,7 @@ def run(
             f"t_end - t = {span:g} is not an integer multiple of dt = {dt:g}"
         )
     if stride < 1:
-        raise ValueError("stride must be >= 1")
+        raise ValueError(f"stride must be >= 1, got {stride}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
 

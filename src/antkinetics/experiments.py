@@ -48,11 +48,13 @@ from .linstab import (
     viscous_spectrum,
 )
 from .params import (
+    MODEL_KEYS,
     ModelParams,
     condition_gap,
     config_hash,
     instability_margin,
     inviscid_threshold_chi,
+    load_config,
     model_params_from_mapping,
     most_unstable_k,
     reduce_params,
@@ -78,9 +80,11 @@ class ExperimentConfig:
     grid: SpectralGrid
     stepper: StepperConfig
     mapping: dict
+    seed: int
+    threads: int
+    amplitude: float
+    max_mode: int
     out_dir: str | None = None
-    seed: int = 0
-    threads: int = 1
 
     @property
     def digest(self) -> str:
@@ -105,8 +109,6 @@ _FALSE = {"0", "false", "no", "off"}
 
 
 def _as_bool(value, key: str) -> bool:
-    if isinstance(value, bool):
-        return value
     text = str(value).strip().lower()
     if text in _TRUE:
         return True
@@ -115,65 +117,70 @@ def _as_bool(value, key: str) -> bool:
     raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
 
 
-def _get(mapping, key, default, cast=float):
-    if key not in mapping or mapping[key] in (None, ""):
-        return default
-    if cast is bool:
-        return _as_bool(mapping[key], key)
-    try:
-        return cast(mapping[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r}: cannot parse {mapping[key]!r}") from None
-
-
-# the keys besides MODEL_KEYS that build_config and initial_state read
-OPTIONAL_KEYS = (
-    "n_x1", "n_x2", "n_theta", "dt", "scheme", "dealias", "cfl_safety", "positivity_tol",
-    "seed", "threads", "amplitude", "max_mode",
-)
-
-
-def build_config(
-    mapping: dict,
-    kind: ExperimentKind,
-    out_dir: str | None = None,
-    seed: int | None = None,
-    threads: int | None = None,
-) -> ExperimentConfig:
-    """Resolve a flat config mapping into a runnable experiment setup."""
-    params = model_params_from_mapping(mapping)
-    grid = SpectralGrid(
-        _get(mapping, "n_x1", 64, int),
-        _get(mapping, "n_x2", 64, int),
-        _get(mapping, "n_theta", 64, int),
-    )
-    stepper = StepperConfig(
-        dt=_get(mapping, "dt", 1.0e-3),
-        scheme=_get(mapping, "scheme", Scheme.ETDRK2, str),
-        dealias=_get(mapping, "dealias", True, bool),
-        cfl_safety=_get(mapping, "cfl_safety", 0.5),
-        positivity_tol=_get(mapping, "positivity_tol", 1.0e-8),
-    )
-    resolved_seed = seed if seed is not None else _get(mapping, "seed", 0, int)
-    resolved_threads = threads if threads is not None else _get(mapping, "threads", 1, int)
-    if resolved_threads < 1:
-        raise ValueError(f"threads must be >= 1, got {resolved_threads}")
-    resolved = dict(mapping)
-    resolved["seed"] = resolved_seed
-    return ExperimentConfig(
-        kind=kind,
-        params=params,
-        grid=grid,
-        stepper=stepper,
-        mapping=resolved,
-        out_dir=out_dir,
-        seed=int(resolved_seed),
-        threads=int(resolved_threads),
-    )
-
+# each key besides MODEL_KEYS with its default; a value parses as its default's type
+OPTIONAL_DEFAULTS = {
+    "n_x1": 64, "n_x2": 64, "n_theta": 64, "dt": 1.0e-3, "scheme": "etdrk2", "dealias": True,
+    "cfl_safety": 0.5, "positivity_tol": 1.0e-8, "seed": 0, "threads": 1, "amplitude": 0.1,
+    "max_mode": 4,
+}
+OPTIONAL_KEYS = tuple(OPTIONAL_DEFAULTS)
 
 # the manifest's header lines, above its resolved configuration
 MANIFEST_HEADER_KEYS = ("code_version", "config_hash", "rng_seed", "kind")
+
+
+def read_config(path) -> dict:
+    """The config file at ``path`` without the manifest's header keys, so a
+    ``manifest.txt`` reads as the config that wrote it; refuses, naming the
+    file, any key that no code reads."""
+    mapping = load_config(path)
+    for key in mapping:
+        if key not in MODEL_KEYS + OPTIONAL_KEYS + MANIFEST_HEADER_KEYS:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+    return {key: value for key, value in mapping.items() if key not in MANIFEST_HEADER_KEYS}
+
+
+def _get(mapping, key):
+    default = OPTIONAL_DEFAULTS[key]
+    value = mapping.get(key)
+    if value is None or value == "":
+        return default
+    if isinstance(default, bool):
+        return _as_bool(value, key)
+    try:
+        return type(default)(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r}: cannot parse {value!r}") from None
+
+
+def build_config(
+    mapping: dict, kind: ExperimentKind, out_dir: str | None = None
+) -> ExperimentConfig:
+    """Resolve a flat config mapping into a runnable experiment setup.
+
+    Every optional key is parsed and range-checked here, once; keys outside
+    the model and optional keys are ignored.
+    """
+    params = model_params_from_mapping(mapping)
+    values = {key: _get(mapping, key) for key in OPTIONAL_DEFAULTS}
+    for key, least in (("seed", 0), ("threads", 1), ("max_mode", 1)):
+        if values[key] < least:
+            raise ValueError(f"{key} must be >= {least}, got {values[key]}")
+    if not 0.0 <= values["amplitude"] < 1.0:
+        raise ValueError(f"amplitude must lie in [0, 1), got {values['amplitude']}")
+    return ExperimentConfig(
+        kind=kind,
+        params=params,
+        grid=SpectralGrid(values["n_x1"], values["n_x2"], values["n_theta"]),
+        stepper=StepperConfig(values["dt"], values["scheme"], values["dealias"],
+                              values["cfl_safety"], values["positivity_tol"]),
+        mapping=dict(mapping, seed=values["seed"]),  # the manifest records the seed in force
+        seed=values["seed"],
+        threads=values["threads"],
+        amplitude=values["amplitude"],
+        max_mode=values["max_mode"],
+        out_dir=out_dir,
+    )
 
 
 def write_manifest(cfg: ExperimentConfig) -> None:
@@ -222,8 +229,9 @@ def random_band_limited_state(
     """Homogeneous state with a smooth random perturbation.
 
     The perturbation is band-limited (all mode numbers <= ``max_mode``),
-    scaled to sup-norm ``amplitude`` relative to the uniform density, kept
-    positive, and renormalized to unit mass.
+    scaled to sup-norm ``amplitude`` relative to the uniform density, and
+    renormalized to unit mass; the density stays positive for an amplitude
+    below 1.
     """
     shape = grid.shape_four3
     coeffs = np.zeros(shape, dtype=complex)
@@ -643,11 +651,13 @@ def initial_state(cfg: ExperimentConfig, init: str = "random") -> PhaseState:
         return homogeneous_state(grid, params)
     if init == "random":
         rng = np.random.default_rng(cfg.seed)
-        amplitude = _get(cfg.mapping, "amplitude", 0.1)
-        max_mode = _get(cfg.mapping, "max_mode", 4, int)
-        return random_band_limited_state(grid, params, rng, max_mode, amplitude)
+        return random_band_limited_state(grid, params, rng, cfg.max_mode, cfg.amplitude)
     if init.startswith("bump:"):
-        rho = bump_density(grid, float(init.split(":", 1)[1]))
+        try:
+            l6_target = float(init.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"initial condition {init!r}: the l6 norm must be a number") from None
+        rho = bump_density(grid, l6_target)
         f = np.repeat(rho[:, :, None], grid.n_theta, axis=2) / TWO_PI
         return state_from_density(grid, params, f)
     if init.startswith("checkpoint:"):
@@ -667,9 +677,11 @@ def run_simulate(
     The samples up to the first one holding a non-finite value are written
     as NDJSON and CSV when the run ends or fails; a run that ends with such
     a sample then raises, naming its time.  A resume must step past the
-    checkpoint's time.  The returned summary, flags included, is also
-    written as ``simulate.json``.
+    checkpoint's time, and ``checkpoint_every`` needs ``cfg.out_dir``.  The
+    returned summary, flags included, is also written as ``simulate.json``.
     """
+    if checkpoint_every is not None and not cfg.out_dir:
+        raise ValueError("checkpoint_every needs an output directory (--out)")
     state = initial_state(cfg, init)
     include_initial = state.step == 0
     if not include_initial and t_end - state.t < 0.5 * cfg.stepper.dt:

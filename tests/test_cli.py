@@ -10,7 +10,7 @@ import pytest
 from antkinetics import cli
 from antkinetics.cli import _parse_chi_grid, _parse_sigma_sweep, build_parser, main
 from antkinetics.dynamics import homogeneous_state, write_checkpoint
-from antkinetics.experiments import ExperimentKind
+from antkinetics.experiments import ExperimentKind, run_simulate
 from antkinetics.params import (
     inviscid_threshold_chi,
     model_params_from_mapping,
@@ -158,12 +158,57 @@ class TestErrors:
              "sweep '0:0.01:2.5': the point count must be an integer, got '2.5'"),
             ("simulate --t-end 0.004 --threads 0", "threads must be >= 1, got 0"),
             ("scan --k-max 1 --threads=-3", "threads must be >= 1, got -3"),
+            ("simulate --t-end 0.004 --rng-seed=-1", "seed must be >= 0, got -1"),
+            ("dispersion --k 1 --rng-seed=-1", "seed must be >= 0, got -1"),
+            ("simulate --t-end 0.004 --stride 0", "stride must be >= 1, got 0"),
+            ("stability-sweep --t-end 0.004 --stride=-2", "stride must be >= 1, got -2"),
+            ("simulate --t-end 0.004 --init bump:abc",
+             "initial condition 'bump:abc': the l6 norm must be a number"),
+            ("simulate --t-end 0.004 --init bump:",
+             "initial condition 'bump:': the l6 norm must be a number"),
         ],
     )
     def test_bad_value_is_refused_naming_it(self, config, tmp_path, capsys, command, message):
         out_dir = tmp_path / "run"
         code, out, err = run_cli(
             command.split() + ["--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("amplitude = 1.5", "amplitude must lie in [0, 1), got 1.5"),
+            ("amplitude = 1", "amplitude must lie in [0, 1), got 1.0"),
+            ("amplitude = -0.1", "amplitude must lie in [0, 1), got -0.1"),
+            ("amplitude = nan", "amplitude must lie in [0, 1), got nan"),
+            ("amplitude = abc", "config key 'amplitude': cannot parse 'abc'"),
+            ("max_mode = 0", "max_mode must be >= 1, got 0"),
+            ("max_mode = -1", "max_mode must be >= 1, got -1"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "simulate --t-end 0.004 --init homogeneous",
+            "dispersion --k 1",
+            "eigen --k 1 --sigma-sweep 0.1 --n-modes 8",
+            "scan --k-max 1 --n-modes 8",
+            "growth-match --k 1 --n-modes 8",
+            "stability-sweep --t-end 0.004",
+        ],
+    )
+    def test_bad_config_value_is_refused_by_every_command(
+        self, tmp_path, capsys, line, message, command
+    ):
+        path = tmp_path / "model.cfg"
+        path.write_text(CONFIG_TEXT + line + "\n")
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            command.split() + ["--config", str(path), "--out", str(out_dir)], capsys
         )
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
@@ -355,6 +400,47 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert f"checkpoint_every must be >= 1, got {every}" in err
         assert not out_dir.exists()
+
+    def test_checkpoint_every_needs_an_output_directory(self, config, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["simulate", "--t-end", "0.02", "--checkpoint-every", "5", "--config", config],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: checkpoint_every needs an output directory (--out)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.cfg"]
+
+    def test_flags_win_over_their_config_keys(self, tmp_path, capsys, monkeypatch):
+        """``--dt``, ``--rng-seed`` and ``--threads`` each replace their key,
+        in the run and in the manifest."""
+        path = tmp_path / "model.cfg"
+        path.write_text(CONFIG_TEXT + "seed = 7\nthreads = 3\n")
+        seen = []
+
+        def capture(cfg, **kwargs):
+            seen.append(cfg)
+            return run_simulate(cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_simulate", capture)
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli(
+            [
+                "simulate", "--t-end", "0.004", "--dt", "0.001", "--rng-seed", "11",
+                "--threads", "2", "--config", str(path), "--out", str(out_dir),
+            ],
+            capsys,
+        )
+        assert code == 0
+        (cfg,) = seen
+        assert (cfg.stepper.dt, cfg.seed, cfg.threads) == (0.001, 11, 2)
+        assert json.loads(out)["n_steps"] == 4
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        for line in ("rng_seed = 11", "dt = 0.001", "seed = 11", "threads = 2"):
+            assert line in manifest
+        for line in ("dt = 2e-3", "seed = 7", "threads = 3"):
+            assert line not in manifest
 
     def test_resume_under_another_grid_is_refused(self, config, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -66,11 +66,6 @@ class TestBuildConfig:
         assert cfg.stepper.dealias is False
         assert cfg.seed == 7 and cfg.threads == 3
 
-    def test_explicit_arguments_win_over_mapping(self):
-        cfg = build_config(mapping(seed="7"), ExperimentKind.SIMULATE, seed=11, threads=2)
-        assert cfg.seed == 11 and cfg.threads == 2
-        assert cfg.mapping["seed"] == 11  # the manifest records the seed in force
-
     def test_bad_values_name_the_key(self):
         with pytest.raises(ValueError, match="dealias"):
             build_config(mapping(dealias="sideways"), ExperimentKind.SIMULATE)

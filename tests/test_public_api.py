@@ -2,6 +2,7 @@
 config block, the names the benchmark traces, and what importing the CLI
 loads."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -12,7 +13,7 @@ import sys
 
 import antkinetics
 import antkinetics.cli  # noqa: F401  (loads every module the traced names live in)
-from antkinetics.experiments import OPTIONAL_KEYS
+from antkinetics.experiments import OPTIONAL_DEFAULTS, OPTIONAL_KEYS, _get
 from antkinetics.params import MODEL_KEYS, parse_config_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -40,6 +41,34 @@ def test_readme_config_block_lists_every_accepted_key():
     blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
     assert len(blocks) == 1
     assert sorted(parse_config_text(blocks[0])) == sorted(MODEL_KEYS + OPTIONAL_KEYS)
+    stated = dict(re.findall(r"^(\w+) .*\(default (\S+)\)$", blocks[0], re.MULTILINE))
+    assert sorted(stated) == sorted(OPTIONAL_KEYS)
+    for key, text in stated.items():
+        assert _get({key: text}, key) == OPTIONAL_DEFAULTS[key], key
+
+
+def test_config_keys_are_read_in_one_place():
+    """The CLI holds no key list and reads no raw config value; only
+    ``build_config`` parses an optional key."""
+    package = pathlib.Path(antkinetics.__file__).parent
+    cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(cli_tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"OPTIONAL_KEYS", "MANIFEST_HEADER_KEYS", "load_config"}
+    assert not [node for node in ast.walk(cli_tree)
+                if isinstance(node, ast.Attribute) and node.attr == "mapping"]
+
+    def calls_to_get(tree):
+        return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "_get" for node in ast.walk(tree))
+
+    everywhere = in_build_config = 0
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        everywhere += calls_to_get(tree)
+        in_build_config += sum(calls_to_get(node) for node in ast.walk(tree)
+                               if isinstance(node, ast.FunctionDef) and node.name == "build_config")
+    assert everywhere == in_build_config > 0
 
 
 def test_every_traced_name_resolves():
