@@ -30,7 +30,6 @@ from .diagnostics import (
 )
 from .dynamics import (
     PhaseState,
-    Scheme,
     StepperConfig,
     homogeneous_state,
     read_checkpoint,
