@@ -164,8 +164,9 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
     turning = 0.0
     if params.chi != 0.0:
         # d_theta B is the bias expansion of the rotated parts
-        g1, g2, s, r = turning_bias_parts(c_hat, grid, params.tau)
-        db = expand_bias((g2, -g1, -2.0 * r, 2.0 * s), grid)
+        g1, g2, *sr = turning_bias_parts(c_hat, grid, params.tau)
+        rotated = (g2, -g1, -2.0 * sr[1], 2.0 * sr[0]) if sr else (g2, -g1)
+        db = expand_bias(rotated, grid)
         turning = 0.5 * params.chi * float(np.sum(f_phys * f_phys * db)) * grid.cell_volume
 
     return ObservableRecord(

@@ -72,6 +72,12 @@ class StepperConfig:
         object.__setattr__(self, "scheme", _coerce_scheme(self.scheme))
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive real, got {self.dt}")
+        if not (self.cfl_safety > 0.0 and math.isfinite(self.cfl_safety)):
+            raise ValueError(f"cfl_safety must be a positive real, got {self.cfl_safety}")
+        if not (self.positivity_tol >= 0.0 and math.isfinite(self.positivity_tol)):
+            raise ValueError(
+                f"positivity_tol must be a non-negative real, got {self.positivity_tol}"
+            )
 
 
 @dataclass
@@ -179,6 +185,8 @@ class Stepper:
             grid, params, dt if self.parabolic else math.inf
         )
         self.mask = grid.dealias_mask3 if cfg.dealias else None
+        # the mask drops m2 > n_x2 // 3, so the forward transforms skip them
+        self.keep = grid.n_x2 // 3 if cfg.dealias else None
         self.cos3 = grid.cos_theta[None, None, :]
         self.sin3 = grid.sin_theta[None, None, :]
         self.chi_in = params.chi * grid.in_3d
@@ -195,10 +203,14 @@ class Stepper:
         )
 
     def drift(self, f_phys, out=None):
-        """lambda div_x(v f) in coefficients, v = (cos theta, sin theta), into ``out``."""
+        """lambda div_x(v f) in coefficients, v = (cos theta, sin theta), into ``out``.
+
+        With dealiasing on, only the columns m2 <= n_x2 // 3 are coefficients
+        (see :func:`~antkinetics.spectral.fft3`); the mask drops the rest.
+        """
         grid = self.grid
-        t1 = fft3(np.multiply(self.cos3, f_phys, out=self._prod), out=out)
-        t2 = fft3(np.multiply(self.sin3, f_phys, out=self._prod), out=self._t2)
+        t1 = fft3(np.multiply(self.cos3, f_phys, out=self._prod), out=out, keep=self.keep)
+        t2 = fft3(np.multiply(self.sin3, f_phys, out=self._prod), out=self._t2, keep=self.keep)
         div = np.multiply(grid.ik1_3d, t1, out=t1)
         div += np.multiply(grid.ik2_3d, t2, out=t2)
         return np.multiply(self.params.lam, div, out=div)
@@ -215,7 +227,7 @@ class Stepper:
             parts = turning_bias_parts(c_hat, grid, params.tau)
             bias = expand_bias(parts, grid, out=self._bias, work=self._prod)
             max_abs_b = max(float(np.max(bias)), -float(np.min(bias)))
-            turning = fft3(np.multiply(bias, f_phys, out=bias), out=self._t1)
+            turning = fft3(np.multiply(bias, f_phys, out=bias), out=self._t1, keep=self.keep)
             rhs -= np.multiply(self.chi_in, turning, out=turning)
         if self.mask is not None:
             rhs *= self.mask

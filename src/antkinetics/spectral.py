@@ -19,6 +19,10 @@ multipliers keep the full value.
 Every transform runs numpy's 1-D passes in scipy's ``rfftn``/``irfftn`` order,
 which gives their bits: r2c along x2, then c2c along theta (3-D) and x1;
 inverse, the c2c passes unscaled, c2r along x2, then a single 1/N scale.
+``fft3(values, keep=K)`` prunes the forward transform to the columns
+m2 <= K: the r2c pass runs in full and the c2c passes only on those
+columns, which then carry the full transform's bits, since each 1-D line
+is transformed on its own.  The 2/3-dealiased right-hand side uses it.
 """
 
 from __future__ import annotations
@@ -173,10 +177,11 @@ class SpectralGrid:
 # --- raw transforms -------------------------------------------------------------
 
 
-def _forward(values, c2c_axes, out=None):
+def _forward(values, c2c_axes, out=None, keep=None):
     out = np.fft.rfft(values, axis=1, out=out)
+    kept = out if keep is None else out[:, : keep + 1]
     for axis in c2c_axes:
-        np.fft.fft(out, axis=axis, out=out)
+        np.fft.fft(kept, axis=axis, out=kept)
     return out
 
 
@@ -188,9 +193,14 @@ def _inverse(coeffs, n_x2, c2c_axes, out=None, work=None):
     return out
 
 
-def fft3(values, out=None):
-    """Forward transform of an (x1, x2, theta) array; x2 is the half axis."""
-    return _forward(values, (2, 0), out)
+def fft3(values, out=None, keep=None):
+    """Forward transform of an (x1, x2, theta) array; x2 is the half axis.
+
+    With ``keep = K`` only the columns m2 <= K are coefficients, with the
+    full transform's bits; the columns m2 > K hold the x2 pass alone and
+    are not coefficients, so the caller must discard them.
+    """
+    return _forward(values, (2, 0), out, keep)
 
 
 def ifft3(coeffs, grid: SpectralGrid, out=None, work=None):
@@ -211,19 +221,19 @@ def ifft2(coeffs, grid: SpectralGrid):
 
 
 def turning_bias_parts(c_hat, grid: SpectralGrid, tau: float):
-    """The four spatial fields that generate the turning bias, in physical space.
+    """The spatial fields that generate the turning bias, in physical space.
 
     B(x, theta) = -sin(theta) g1 + cos(theta) g2 + sin(2 theta) s + cos(2 theta) r
     with g = grad c, s = tau (c22 - c11) / 2, r = tau c12, from the 2-D
     coefficients ``c_hat``.  Only angular modes +-1 and +-2 ever appear.
     The gradient zeroes the Nyquist row; the Hessian multipliers are real,
-    so they keep the full Nyquist values and c12 == c21 exactly.
+    so they keep the full Nyquist values and c12 == c21 exactly.  Returns
+    ``(g1, g2)`` at tau = 0, where s and r vanish, else ``(g1, g2, s, r)``.
     """
     g1 = ifft2(grid.ik1_2d * c_hat, grid)
     g2 = ifft2(grid.ik2_2d * c_hat, grid)
     if tau == 0.0:
-        zero = np.zeros(grid.shape_phys2)
-        return g1, g2, zero, zero
+        return g1, g2
     m1 = (2.0 * np.pi * grid.m1.astype(np.float64))[:, None]
     m2 = (2.0 * np.pi * grid.m2.astype(np.float64))[None, :]
     c11 = ifft2(-(m1 * m1) * c_hat, grid)
@@ -235,15 +245,16 @@ def turning_bias_parts(c_hat, grid: SpectralGrid, tau: float):
 def expand_bias(parts, grid: SpectralGrid, out=None, work=None):
     """The phase-space field -sin(theta) a + cos(theta) b + sin(2 theta) s + cos(2 theta) r.
 
-    With ``parts = (g1, g2, s, r)`` from :func:`turning_bias_parts` this is
-    the turning bias B; with the rotated parts ``(g2, -g1, -2 r, 2 s)`` it
-    is the angular derivative d_theta B.  The terms are summed left to
+    With ``parts`` from :func:`turning_bias_parts` this is the turning bias
+    B; with the rotated parts ``(g2, -g1)`` or ``(g2, -g1, -2 r, 2 s)`` it
+    is the angular derivative d_theta B.  Only the terms given are summed:
+    two parts ``(a, b)`` stand for s = r = 0.  The terms are summed left to
     right, into ``out`` when given, each formed in ``work`` when given.
     """
-    a, b, s, r = parts
     th = grid.theta
-    out = np.multiply(-np.sin(th)[None, None, :], a[:, :, None], out=out)
-    for wave, part in ((np.cos(th), b), (np.sin(2.0 * th), s), (np.cos(2.0 * th), r)):
+    waves = (np.cos(th), np.sin(2.0 * th), np.cos(2.0 * th))
+    out = np.multiply(-np.sin(th)[None, None, :], parts[0][:, :, None], out=out)
+    for wave, part in zip(waves, parts[1:]):
         out += np.multiply(wave[None, None, :], part[:, :, None], out=work)
     return out
 

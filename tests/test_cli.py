@@ -188,6 +188,13 @@ class TestErrors:
             ("amplitude = abc", "config key 'amplitude': cannot parse 'abc'"),
             ("max_mode = 0", "max_mode must be >= 1, got 0"),
             ("max_mode = -1", "max_mode must be >= 1, got -1"),
+            ("cfl_safety = nan", "cfl_safety must be a positive real, got nan"),
+            ("cfl_safety = inf", "cfl_safety must be a positive real, got inf"),
+            ("cfl_safety = 0", "cfl_safety must be a positive real, got 0.0"),
+            ("cfl_safety = -1", "cfl_safety must be a positive real, got -1.0"),
+            ("positivity_tol = nan", "positivity_tol must be a non-negative real, got nan"),
+            ("positivity_tol = inf", "positivity_tol must be a non-negative real, got inf"),
+            ("positivity_tol = -1", "positivity_tol must be a non-negative real, got -1.0"),
         ],
     )
     @pytest.mark.parametrize(
@@ -213,6 +220,16 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    def test_zero_positivity_tolerance_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "model.cfg"
+        path.write_text(CONFIG_TEXT + "positivity_tol = 0\n")
+        code, out, err = run_cli(
+            ["simulate", "--t-end", "0.004", "--init", "homogeneous", "--config", str(path)],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["positivity_flagged"] is False
 
     def test_scan_needs_a_wavenumber(self, config, tmp_path, capsys):
         out_dir = tmp_path / "scan"

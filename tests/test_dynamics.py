@@ -22,7 +22,15 @@ from antkinetics.dynamics import (
 )
 from antkinetics.experiments import random_band_limited_state
 from antkinetics.params import Coupling, ModelParams
-from antkinetics.spectral import SpectralGrid, fft2, fft3, ifft2, ifft3
+from antkinetics.spectral import (
+    SpectralGrid,
+    expand_bias,
+    fft2,
+    fft3,
+    ifft2,
+    ifft3,
+    turning_bias_parts,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,6 +54,11 @@ def test_scheme_coercion_and_validation():
         StepperConfig(dt=1e-3, scheme="rk9")
     with pytest.raises(ValueError):
         StepperConfig(dt=0.0)
+    with pytest.raises(ValueError, match="cfl_safety"):
+        StepperConfig(dt=1e-3, cfl_safety=math.inf)
+    with pytest.raises(ValueError, match="positivity_tol"):
+        StepperConfig(dt=1e-3, positivity_tol=math.nan)
+    assert StepperConfig(dt=1e-3, positivity_tol=0.0).positivity_tol == 0.0
 
 
 def test_elliptic_chemical_closed_form(grid):
@@ -355,6 +368,48 @@ def test_step_allocates_little_beyond_the_new_state():
         tracemalloc.stop()
     assert new_state.step == 2
     assert peak - before < 3 * np.empty(grid.shape_phys3).nbytes
+
+
+def reference_rhs(stepper, f_phys, c_hat):
+    """The explicit RHS with full forward transforms and all four bias
+    terms, zero curvature parts included, and the mask applied last."""
+    grid, p = stepper.grid, stepper.params
+    rhs = np.zeros(grid.shape_four3, dtype=complex)
+    div = grid.ik1_3d * fft3(grid.cos_theta[None, None, :] * f_phys)
+    div += grid.ik2_3d * fft3(grid.sin_theta[None, None, :] * f_phys)
+    rhs -= p.lam * div
+    g1, g2, *sr = turning_bias_parts(c_hat, grid, p.tau)
+    zero = np.zeros(grid.shape_phys2)
+    bias = expand_bias((g1, g2, *(sr or (zero, zero))), grid)
+    rhs -= (p.chi * grid.in_3d) * fft3(bias * f_phys)
+    if stepper.mask is not None:
+        rhs *= stepper.mask
+    return rhs, max(float(np.max(bias)), -float(np.min(bias)))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (32, 32, 32), (16, 24, 32)])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_explicit_rhs_matches_the_unpruned_reference(shape, tau, dealias):
+    """With dealiasing the RHS has the reference's bits on the kept box and
+    its values (zeros, of either sign) outside it; without, its bits
+    everywhere.  max |B| is the reference's."""
+    grid = SpectralGrid(*shape)
+    p = params(tau=tau, coupling=Coupling.PARABOLIC)
+    rng = np.random.default_rng(11)
+    f_phys = 1.0 / TWO_PI + 0.05 * rng.standard_normal(grid.shape_phys3)
+    c_hat = fft2(1.0 + 0.1 * rng.standard_normal(grid.shape_phys2))
+    stepper = Stepper(grid, p, StepperConfig(dt=1e-3, dealias=dealias))
+    rhs, max_abs_b = stepper.explicit_rhs(f_phys, c_hat)
+    expect, expect_b = reference_rhs(stepper, f_phys, c_hat)
+    assert max_abs_b == expect_b
+    if not dealias:
+        assert rhs.tobytes() == expect.tobytes()
+        return
+    box = grid.dealias_mask3
+    assert rhs[box].tobytes() == expect[box].tobytes()
+    assert np.array_equal(rhs[~box], expect[~box])
+    assert not np.any(rhs[~box])
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

@@ -1,0 +1,177 @@
+"""Byte-identity report between two checkouts of antkinetics.
+
+    python3 tools/identity.py BASE HEAD
+
+Runs one fixed matrix on each checkout, in a fresh Python process with that
+checkout's ``src`` first on ``PYTHONPATH``, and names every output that
+differs between the two:
+
+- *States.*  The sha256 of f_hat, c_hat and the physical f after 20 steps
+  from random, homogeneous and x1-only starts.  At 16^3 and 32^3 this covers
+  both couplings, both schemes and tau in {0, 0.5}; at 64^3, ETDRK2 from
+  the random and x1-only starts, both couplings and both tau.  Dealiasing
+  and the cost split differ by grid size, so 16^3 alone is not enough.
+- *Command line.*  16^3 ``simulate --stride 1 --checkpoint-every 5`` from
+  random, homogeneous and ``bump:1.2`` starts at tau in {0, 0.5}, then a
+  ``--resume`` from its checkpoint: the exit code, stdout, and the sha256
+  of every output file.
+
+Exit codes: 0 when nothing differs, 1 when something does, 2 when a
+checkout cannot be run.  A run takes a few seconds per checkout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+
+STEPS = 20
+MODEL = dict(sigma_x=0.002, sigma_theta=0.25, sigma_c=0.05, gamma=1.0, lam=1.0, chi=4.0)
+CONFIG_TEXT = """\
+sigma_x = 0.002
+sigma_theta = 0.25
+sigma_c = 0.05
+gamma = 1.0
+lambda = 1.0
+chi = 4.0
+tau = {tau}
+coupling = elliptic
+n_x1 = 16
+n_x2 = 16
+n_theta = 16
+dt = 2e-3
+"""
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _state_cases():
+    """(name, shape, coupling, scheme, tau, start) for the state matrix."""
+    for shape in ((16, 16, 16), (32, 32, 32), (64, 64, 64)):
+        for coupling in ("elliptic", "parabolic"):
+            for scheme in ("imex_euler", "etdrk2"):
+                for tau in (0.0, 0.5):
+                    for start in ("random", "homogeneous", "x1"):
+                        if shape[0] == 64 and (scheme != "etdrk2" or start == "homogeneous"):
+                            continue
+                        name = "x".join(map(str, shape)) + f" {coupling} {scheme} tau={tau} {start}"
+                        yield name, shape, coupling, scheme, tau, start
+
+
+def _states(out: dict) -> None:
+    import numpy as np
+
+    from antkinetics.dynamics import Stepper, StepperConfig, homogeneous_state, state_from_density
+    from antkinetics.experiments import random_band_limited_state
+    from antkinetics.params import Coupling, ModelParams
+    from antkinetics.spectral import SpectralGrid
+
+    for name, shape, coupling, scheme, tau, start in _state_cases():
+        grid = SpectralGrid(*shape)
+        params = ModelParams(**MODEL, tau=tau, coupling=Coupling(coupling))
+        if start == "random":
+            state = random_band_limited_state(grid, params, np.random.default_rng(1), 4, 0.1)
+        elif start == "homogeneous":
+            state = homogeneous_state(grid, params)
+        else:
+            f = (1.0 + 0.2 * np.cos(2.0 * np.pi * grid.x1))[:, None, None] / (2.0 * np.pi)
+            state = state_from_density(grid, params, np.broadcast_to(f, grid.shape_phys3))
+        stepper = Stepper(grid, params, StepperConfig(dt=1.0e-3, scheme=scheme))
+        for _ in range(STEPS):
+            state = stepper.step(state)
+        out[f"state {name}: f_hat"] = _sha(state.f_hat.tobytes())
+        out[f"state {name}: c_hat"] = _sha(state.c_hat.tobytes())
+        out[f"state {name}: f"] = _sha(state.f_physical().tobytes())
+        out[f"state {name}: flags"] = ",".join(sorted(state.flags))
+
+
+def _cli(out: dict, work: str) -> None:
+    from antkinetics import cli
+
+    def call(name, argv, out_dir):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv + ["--out", out_dir])
+        out[f"{name}: exit code"] = str(code)
+        out[f"{name}: stdout"] = stdout.getvalue()
+        for root, _, files in os.walk(out_dir):
+            for file in files:
+                path = os.path.join(root, file)
+                with open(path, "rb") as fh:
+                    out[f"{name}: {os.path.relpath(path, out_dir)}"] = _sha(fh.read())
+
+    for tau in (0.0, 0.5):
+        config = os.path.join(work, f"tau{tau}.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(CONFIG_TEXT.format(tau=tau))
+        for init in ("random", "homogeneous", "bump:1.2"):
+            name = f"simulate tau={tau} {init}"
+            first = os.path.join(work, f"{tau}-{init}")
+            call(name, ["simulate", "--config", config, "--t-end", "0.02", "--stride", "1",
+                        "--checkpoint-every", "5", "--init", init], first)
+            call(name + " resumed", ["simulate", "--config", config, "--t-end", "0.04",
+                                     "--stride", "1", "--resume",
+                                     os.path.join(first, "checkpoint")],
+                 os.path.join(work, f"{tau}-{init}-resumed"))
+
+
+def worker() -> None:
+    """Run the matrix on the ``antkinetics`` found on the path; print JSON."""
+    warnings.simplefilter("ignore")
+    out: dict = {}
+    work = tempfile.mkdtemp(prefix="antk-identity-")
+    try:
+        _states(out)
+        _cli(out, work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    print(json.dumps(out))
+
+
+def _collect(checkout: str) -> dict:
+    src = os.path.join(checkout, "src")
+    if not os.path.isfile(os.path.join(src, "antkinetics", "cli.py")):
+        raise RuntimeError(f"no src/antkinetics in {checkout}")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker"],
+        env=env, cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise RuntimeError(f"the matrix failed on {checkout}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv) -> int:
+    if len(argv) == 1 and argv[0] == "--worker":
+        worker()
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    try:
+        base, head = (_collect(checkout) for checkout in argv)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    differ = [name for name in sorted(base.keys() | head.keys())
+              if base.get(name) != head.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(base.keys() | head.keys())} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
