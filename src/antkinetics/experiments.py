@@ -38,6 +38,7 @@ from .dynamics import (
 )
 from .linstab import (
     DispersionResult,
+    _brent,
     check_n_modes,
     eigen_sweep,
     eigenfunction_field,
@@ -277,12 +278,7 @@ def bump_density(grid: SpectralGrid, l6_target: float) -> np.ndarray:
             f"l6_target {l6_target} unreachable with width {_BUMP_WIDTH} "
             f"(cap {norm_at(a_max):.3f})"
         )
-    import scipy.optimize  # here, not at the top: commands that find no root skip scipy
-
-    a = scipy.optimize.brentq(
-        lambda a: norm_at(a) - l6_target, 0.0, a_max,
-        xtol=1.0e-300, rtol=4.0 * np.finfo(float).eps,
-    )
+    a, _ = _brent(lambda a: norm_at(a) - l6_target, 0.0, a_max)
     return 1.0 + a * bump
 
 

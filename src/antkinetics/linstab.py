@@ -16,11 +16,12 @@ angular response integral
 (tau, lam the reduced look-ahead and drift, mu the candidate rate), for
 which a closed form exists.  The relation is chi J = 1 (divided by mu + nu
 for the parabolic coupling), and its left side g(mu) strictly decreases,
-so the positive root is bracketed by doubling and found by Brent's method
-(scipy.optimize.brentq) to a few ulp.  The same linearization truncated in an
-angular Fourier basis gives a dense matrix whose rightmost eigenvalue
-cross-checks the root, works for sigma > 0 where no closed form exists,
-and provides eigenfunctions for seeding simulations.
+so the positive root is bracketed by doubling and found to a few ulp by
+Brent's method (:func:`_brent`, an in-house port of scipy's ``brentq``).
+The same linearization truncated in an angular Fourier basis gives a
+dense matrix whose rightmost eigenvalue cross-checks the root, works for
+sigma > 0 where no closed form exists, and provides eigenfunctions for
+seeding simulations.
 
 That matrix is written once, as the complex operator L on u over modes
 n = -N..N (plus one chemical amplitude C = alpha + i beta for the parabolic
@@ -57,6 +58,11 @@ from .spectral import SpectralGrid
 TWO_PI = 2.0 * math.pi
 
 _ROOT_RESIDUAL_TOL = 1.0e-12
+
+# scipy's brentq at its smallest rtol and a negligible xtol: the root to a few ulp
+_BRENT_XTOL = 1.0e-300
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
 
 
 def dispersion_integral(tau_breve: float, lambda_breve: float, mu):
@@ -121,6 +127,61 @@ def _dispersion_map(rp: ReducedParams, coupling: Coupling):
     return g
 
 
+def _brent(f, a: float, b: float) -> tuple[float, int]:
+    """Root of f on the bracket [a, b] by Brent's method, with its iteration count.
+
+    A line-for-line port of scipy's ``brentq.c`` (Brent 1973, ch. 4) at
+    xtol = 1e-300, rtol = 4 eps and at most 100 iterations: it gives
+    ``scipy.optimize.brentq``'s root bits and iteration count at those
+    tolerances.  An endpoint root returns with 0 iterations (scipy 1.17
+    reports 1).  Raises ValueError on a same-sign bracket or a NaN value of
+    f, and RuntimeError when 100 iterations do not converge.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({a}) and f({b}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, _BRENT_MAXITER + 1):
+        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # in C a zero den gives an infinite or NaN step, which fails this test
+            if den != 0.0 and 2.0 * abs(num / den) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur, bisect = scur, num / den, False  # good short step
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
+
+
 def find_unstable_root(rp: ReducedParams, coupling: Coupling):
     """Positive growth rate of the inviscid (sigma = 0) single-mode relation.
 
@@ -140,17 +201,11 @@ def find_unstable_root(rp: ReducedParams, coupling: Coupling):
         doublings += 1
         if doublings > 200:
             raise RuntimeError("dispersion root bracket did not close")
-    import scipy.optimize  # here, not at the top: commands that find no root skip scipy
-
-    # brentq's tightest tolerances: the root to a few ulp, even near threshold
-    mu0, info = scipy.optimize.brentq(
-        lambda mu: g(mu) - 1.0, 0.0, hi,
-        xtol=1.0e-300, rtol=4.0 * np.finfo(float).eps, full_output=True,
-    )
+    mu0, iterations = _brent(lambda mu: g(mu) - 1.0, 0.0, hi)
     residual = abs(g(mu0) - 1.0)
     if residual > _ROOT_RESIDUAL_TOL:
         raise RuntimeError(f"dispersion root residual {residual:.3e} exceeds {_ROOT_RESIDUAL_TOL}")
-    return DispersionResult(mu0, residual, (0.0, hi), info.iterations)
+    return DispersionResult(mu0, residual, (0.0, hi), iterations)
 
 
 # --- eigenfunctions --------------------------------------------------------------

@@ -10,6 +10,7 @@ from antkinetics import linstab
 from antkinetics.linstab import (
     DispersionResult,
     NoRoot,
+    _brent,
     _complex_operator,
     _gauged_operator,
     _parity_blocks,
@@ -188,6 +189,91 @@ def test_root_is_bracketed_within_8_ulp(rp, coupling):
     step = 8.0 * np.spacing(root.mu0)
     assert g(root.mu0 - step) >= 1.0 >= g(root.mu0 + step)
     assert root.bracket[0] == 0.0
+
+
+def _brentq(f, a, b):
+    """scipy's brentq at the tolerances _brent ports: (root, iterations)."""
+    import scipy.optimize
+
+    root, info = scipy.optimize.brentq(
+        f, a, b, xtol=1.0e-300, rtol=4.0 * np.finfo(float).eps, full_output=True
+    )
+    return root, info.iterations
+
+
+def _dispersion_corpus():
+    """(f, 0, hi) for g - 1 on both couplings at k = 1..3, with chi from 1e-12
+    to 10 above threshold in relative terms, bracketed as find_unstable_root does."""
+    for coupling in (Coupling.ELLIPTIC, Coupling.PARABOLIC):
+        for k in (1, 2, 3):
+            for tau in (0.0, 0.25, 1.3):
+                for sigma_x in (0.0, 0.002):
+                    base = ModelParams(sigma_x=sigma_x, sigma_theta=0.0, sigma_c=0.05,
+                                       gamma=1.0, lam=1.0, chi=1.0, tau=tau, coupling=coupling)
+                    chi_star = inviscid_threshold_chi(base, k)
+                    for above in np.logspace(-12.0, 1.0, 14):
+                        rp = reduce_params(base.replace(chi=chi_star * (1.0 + above)), k)
+                        g = linstab._dispersion_map(rp, coupling)
+                        if g(0.0) <= 1.0:
+                            continue
+                        hi = 1.0
+                        while g(hi) >= 1.0:
+                            hi *= 2.0
+                        yield (lambda mu, g=g: g(mu) - 1.0), 0.0, hi
+
+
+def _tanh_corpus(count=300):
+    """(f, a, b) for shifted tanh functions of random slope, centre and offset."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        slope = 10.0 ** rng.uniform(-2.0, 2.0)
+        a, b = rng.uniform(-3.0, 0.0), rng.uniform(0.5, 4.0)
+        centre = rng.uniform(a, b)
+        offset = rng.uniform(-0.5, 0.5) * math.tanh(slope * min(centre - a, b - centre))
+        yield (lambda x, s=slope, c=centre, o=offset: math.tanh(s * (x - c)) + o), a, b
+
+
+class TestBrentPort:
+    """_brent gives scipy.optimize.brentq's root bits and iteration count."""
+
+    def test_fixed_seed_corpus(self):
+        dispersion = list(_dispersion_corpus())
+        assert len(dispersion) > 300  # only a few near-threshold maps have no root
+        cases = dispersion + list(_tanh_corpus())
+        mismatches = []
+        for f, a, b in cases:
+            expect_root, expect_iterations = _brentq(f, a, b)
+            root, iterations = _brent(f, a, b)
+            if root.hex() != expect_root.hex() or iterations != expect_iterations:
+                mismatches.append((a, b, root, expect_root, iterations, expect_iterations))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_endpoint_root_takes_no_iteration(self, a, b):
+        """The same root as scipy's; scipy 1.17 counts this as one iteration."""
+        assert _brent(lambda x: x, a, b) == (0.0, 0)
+        assert _brentq(lambda x: x, a, b)[0] == 0.0
+
+    def test_same_sign_bracket_is_refused(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brent(lambda x: x, 1.0, 2.0)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x, 1.0, 2.0)
+
+    def test_nan_value_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+
+    def test_exhausted_iterations_raise_naming_the_count(self):
+        """A step across x = 1e-200 on [-1e300, 1e300] bisects: it needs ~1700
+        halvings to close, far beyond the 100 iterations allowed."""
+        def step(x):
+            return -1.0 if x < 1.0e-200 else 1.0
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            _brent(step, -1.0e300, 1.0e300)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            _brentq(step, -1.0e300, 1.0e300)
 
 
 class TestEigenfunctions:

@@ -122,7 +122,6 @@ def _scipy_after(tmp_path, *command_lines):
 
 
 def test_simulate_and_growth_match_load_no_scipy(tmp_path):
-    """Only the root finders import scipy, inside the function that calls it."""
     codes, modules = _scipy_after(
         tmp_path, "simulate --t-end 0.006", "growth-match --k 1 --t-end 0.01 --n-modes 16"
     )
@@ -130,7 +129,11 @@ def test_simulate_and_growth_match_load_no_scipy(tmp_path):
     assert modules == []
 
 
-def test_dispersion_loads_scipy_optimize(tmp_path):
-    codes, modules = _scipy_after(tmp_path, "dispersion --k 1")
-    assert codes == [0]
-    assert "scipy.optimize" in modules
+def test_root_finding_commands_load_no_scipy(tmp_path):
+    """dispersion, scan and bump: starts solve by linstab's own Brent port."""
+    codes, modules = _scipy_after(
+        tmp_path, "dispersion --k 1", "scan --k-max 2 --n-modes 16",
+        "simulate --t-end 0.006 --init bump:1.2",
+    )
+    assert codes == [0, 0, 0]
+    assert modules == []

@@ -11,10 +11,15 @@ differs between the two:
   both couplings, both schemes and tau in {0, 0.5}; at 64^3, ETDRK2 from
   the random and x1-only starts, both couplings and both tau.  Dealiasing
   and the cost split differ by grid size, so 16^3 alone is not enough.
-- *Command line.*  16^3 ``simulate --stride 1 --checkpoint-every 5`` from
-  random, homogeneous and ``bump:1.2`` starts at tau in {0, 0.5}, then a
-  ``--resume`` from its checkpoint: the exit code, stdout, and the sha256
-  of every output file.
+- *Command line.*  The exit code, stdout, and the sha256 of every output
+  file of each command, all on a 16^3 config:
+  - ``simulate --stride 1 --checkpoint-every 5`` from random, homogeneous
+    and ``bump:1.2`` starts at tau in {0, 0.5}, then a ``--resume`` from
+    its checkpoint, and a rerun fed the first run's ``manifest.txt`` as
+    ``--config``;
+  - ``dispersion --k 1..3``, ``scan --k-max 3 --n-modes 32`` (with and
+    without ``--threads 2``), ``eigen --k 1 --sigma-sweep 0.0001:0.01:3``
+    and a short ``growth-match --k 1``, for both couplings at tau = 0.5.
 
 Exit codes: 0 when nothing differs, 1 when something does, 2 when a
 checkout cannot be run.  A run takes a few seconds per checkout.
@@ -43,7 +48,7 @@ gamma = 1.0
 lambda = 1.0
 chi = 4.0
 tau = {tau}
-coupling = elliptic
+coupling = {coupling}
 n_x1 = 16
 n_x2 = 16
 n_theta = 16
@@ -110,19 +115,39 @@ def _cli(out: dict, work: str) -> None:
                 with open(path, "rb") as fh:
                     out[f"{name}: {os.path.relpath(path, out_dir)}"] = _sha(fh.read())
 
+    def config_file(tau, coupling):
+        path = os.path.join(work, f"{coupling}-tau{tau}.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(CONFIG_TEXT.format(tau=tau, coupling=coupling))
+        return path
+
     for tau in (0.0, 0.5):
-        config = os.path.join(work, f"tau{tau}.cfg")
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write(CONFIG_TEXT.format(tau=tau))
+        config = config_file(tau, "elliptic")
         for init in ("random", "homogeneous", "bump:1.2"):
             name = f"simulate tau={tau} {init}"
             first = os.path.join(work, f"{tau}-{init}")
-            call(name, ["simulate", "--config", config, "--t-end", "0.02", "--stride", "1",
-                        "--checkpoint-every", "5", "--init", init], first)
+            argv = ["simulate", "--t-end", "0.02", "--stride", "1", "--checkpoint-every", "5",
+                    "--init", init]
+            call(name, argv + ["--config", config], first)
             call(name + " resumed", ["simulate", "--config", config, "--t-end", "0.04",
                                      "--stride", "1", "--resume",
                                      os.path.join(first, "checkpoint")],
                  os.path.join(work, f"{tau}-{init}-resumed"))
+            call(name + " from its manifest",
+                 argv + ["--config", os.path.join(first, "manifest.txt")],
+                 os.path.join(work, f"{tau}-{init}-manifest"))
+
+    for coupling in ("elliptic", "parabolic"):
+        config = config_file(0.5, coupling)
+        commands = [f"dispersion --k {k}" for k in (1, 2, 3)] + [
+            "scan --k-max 3 --n-modes 32",
+            "scan --k-max 3 --n-modes 32 --threads 2",
+            "eigen --k 1 --sigma-sweep 0.0001:0.01:3",
+            "growth-match --k 1 --t-end 0.05 --n-modes 32",
+        ]
+        for number, command in enumerate(commands):
+            call(f"{command} {coupling}", command.split() + ["--config", config],
+                 os.path.join(work, f"{coupling}-{number}"))
 
 
 def worker() -> None:
