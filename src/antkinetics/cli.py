@@ -73,7 +73,12 @@ def _add_global_flags(parser, suppress: bool) -> None:
 
 
 def _simulate(cfg, args):
-    init = f"checkpoint:{args.resume}" if args.resume else args.init
+    init = "random" if args.init is None else args.init
+    if args.resume is not None:
+        if args.init is not None:
+            raise ValueError("--init and --resume cannot be combined: "
+                             "--resume DIR is --init checkpoint:DIR")
+        init = f"checkpoint:{args.resume}"
     summary = run_simulate(cfg, t_end=args.t_end, stride=args.stride, init=init,
                            checkpoint_every=args.checkpoint_every)
     return summary, True
@@ -130,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument(
         "--init",
-        default="random",
-        help="random | homogeneous | bump:<l6 norm> | checkpoint:<dir>",
+        default=None,
+        help="random (default) | homogeneous | bump:<l6 norm> | checkpoint:<dir>",
     )
     p.add_argument("--resume", default=None, metavar="DIR",
                    help="shorthand for --init checkpoint:DIR")

@@ -36,6 +36,10 @@ from .spectral import (
 )
 
 TWO_PI = 2.0 * math.pi
+# a step with dt above _CFL_SAFETY * min(dx / lambda, dtheta / (chi max|B|)) is
+# flagged and warns; a state with min f < -_POSITIVITY_TOL * max f is flagged
+_CFL_SAFETY = 0.5
+_POSITIVITY_TOL = 1.0e-8
 
 
 class Scheme(enum.Enum):
@@ -54,30 +58,17 @@ def _coerce_scheme(value) -> Scheme:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time-stepping knobs.
-
-    ``cfl_safety`` scales the advisory step bound dt <= safety * min(
-    dx / lambda, dtheta / (chi max|B|)); exceeding it flags the state and
-    warns but does not abort.  ``positivity_tol`` is the monitored floor
-    min f >= -tol * max f.
-    """
+    """Time step and scheme.  The explicit terms are always 2/3-dealiased,
+    and the step monitors use fixed thresholds (see ``_CFL_SAFETY`` and
+    ``_POSITIVITY_TOL``)."""
 
     dt: float
     scheme: Scheme = Scheme.ETDRK2
-    dealias: bool = True
-    cfl_safety: float = 0.5
-    positivity_tol: float = 1.0e-8
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", _coerce_scheme(self.scheme))
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive real, got {self.dt}")
-        if not (self.cfl_safety > 0.0 and math.isfinite(self.cfl_safety)):
-            raise ValueError(f"cfl_safety must be a positive real, got {self.cfl_safety}")
-        if not (self.positivity_tol >= 0.0 and math.isfinite(self.positivity_tol)):
-            raise ValueError(
-                f"positivity_tol must be a non-negative real, got {self.positivity_tol}"
-            )
 
 
 @dataclass
@@ -154,9 +145,9 @@ def _phi12(z: np.ndarray):
     return phi1, phi2
 
 
-def _below_floor(f_phys: np.ndarray, tol: float) -> bool:
-    """Whether min f < -tol * max f, the monitored positivity floor."""
-    return float(np.min(f_phys)) < -tol * max(float(np.max(f_phys)), 0.0)
+def _below_floor(f_phys: np.ndarray) -> bool:
+    """Whether min f < -_POSITIVITY_TOL * max f, the monitored positivity floor."""
+    return float(np.min(f_phys)) < -_POSITIVITY_TOL * max(float(np.max(f_phys)), 0.0)
 
 
 class Stepper:
@@ -184,9 +175,9 @@ class Stepper:
         self.chem_decay, self.chem_gain = chemical_multipliers(
             grid, params, dt if self.parabolic else math.inf
         )
-        self.mask = grid.dealias_mask3 if cfg.dealias else None
+        self.mask = grid.dealias_mask3
         # the mask drops m2 > n_x2 // 3, so the forward transforms skip them
-        self.keep = grid.n_x2 // 3 if cfg.dealias else None
+        self.keep = grid.n_x2 // 3
         self.cos3 = grid.cos_theta[None, None, :]
         self.sin3 = grid.sin_theta[None, None, :]
         self.chi_in = params.chi * grid.in_3d
@@ -205,7 +196,7 @@ class Stepper:
     def drift(self, f_phys, out=None):
         """lambda div_x(v f) in coefficients, v = (cos theta, sin theta), into ``out``.
 
-        With dealiasing on, only the columns m2 <= n_x2 // 3 are coefficients
+        Only the columns m2 <= n_x2 // 3 are coefficients
         (see :func:`~antkinetics.spectral.fft3`); the mask drops the rest.
         """
         grid = self.grid
@@ -229,8 +220,7 @@ class Stepper:
             max_abs_b = max(float(np.max(bias)), -float(np.min(bias)))
             turning = fft3(np.multiply(bias, f_phys, out=bias), out=self._t1, keep=self.keep)
             rhs -= np.multiply(self.chi_in, turning, out=turning)
-        if self.mask is not None:
-            rhs *= self.mask
+        rhs *= self.mask
         return rhs, max_abs_b
 
     def chemical_of(self, c_hat, rho_hat):
@@ -247,7 +237,7 @@ class Stepper:
         angular_speed = self.params.chi * max_abs_b
         if angular_speed > 0.0:
             bound = min(bound, self.dtheta / angular_speed)
-        return self.cfg.cfl_safety * bound
+        return _CFL_SAFETY * bound
 
     def step(self, state: PhaseState) -> PhaseState:
         grid, params, cfg = self.grid, self.params, self.cfg
@@ -294,7 +284,7 @@ class Stepper:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-        if _below_floor(f_phys, cfg.positivity_tol):
+        if _below_floor(f_phys):
             flags = flags | {"positivity"}
 
         new_state = PhaseState(
@@ -336,10 +326,8 @@ class Stepper:
 
 def homogeneous_state(grid: SpectralGrid, params: ModelParams) -> PhaseState:
     """The uniform steady state f = 1/2pi, c = 1/gamma."""
-    f = np.full(grid.shape_phys3, 1.0 / TWO_PI)
-    f_hat = fft3(f)
-    c = np.full(grid.shape_phys2, 1.0 / params.gamma)
-    return PhaseState(grid, f_hat, fft2(c))
+    return state_from_density(grid, params, np.full(grid.shape_phys3, 1.0 / TWO_PI),
+                              np.full(grid.shape_phys2, 1.0 / params.gamma))
 
 
 def state_from_density(
@@ -434,7 +422,7 @@ def run(
         if checkpoint_dir is not None and periodic and i < n_steps:
             write_checkpoint(checkpoint_dir, state, config_digest)
     # each step checks the state it starts from; the final one is checked here
-    if n_steps and _below_floor(state.f_physical(), cfg.positivity_tol):
+    if n_steps and _below_floor(state.f_physical()):
         state.flags = state.flags | {"positivity"}
     if checkpoint_dir is not None:
         write_checkpoint(checkpoint_dir, state, config_digest)

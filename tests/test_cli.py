@@ -100,7 +100,11 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: config line 7: expected 'key = value'")
 
-    @pytest.mark.parametrize("line", ["ntheta = 16", "d_t = 0.002"])
+    @pytest.mark.parametrize(
+        "line",
+        ["ntheta = 16", "d_t = 0.002", "dealias = true", "cfl_safety = 0.5",
+         "positivity_tol = 1e-8"],
+    )
     def test_unknown_config_key_is_refused(self, tmp_path, capsys, line):
         path = tmp_path / "model.cfg"
         path.write_text(CONFIG_TEXT + line + "\n")
@@ -188,13 +192,6 @@ class TestErrors:
             ("amplitude = abc", "config key 'amplitude': cannot parse 'abc'"),
             ("max_mode = 0", "max_mode must be >= 1, got 0"),
             ("max_mode = -1", "max_mode must be >= 1, got -1"),
-            ("cfl_safety = nan", "cfl_safety must be a positive real, got nan"),
-            ("cfl_safety = inf", "cfl_safety must be a positive real, got inf"),
-            ("cfl_safety = 0", "cfl_safety must be a positive real, got 0.0"),
-            ("cfl_safety = -1", "cfl_safety must be a positive real, got -1.0"),
-            ("positivity_tol = nan", "positivity_tol must be a non-negative real, got nan"),
-            ("positivity_tol = inf", "positivity_tol must be a non-negative real, got inf"),
-            ("positivity_tol = -1", "positivity_tol must be a non-negative real, got -1.0"),
         ],
     )
     @pytest.mark.parametrize(
@@ -220,16 +217,6 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
-
-    def test_zero_positivity_tolerance_is_accepted(self, tmp_path, capsys):
-        path = tmp_path / "model.cfg"
-        path.write_text(CONFIG_TEXT + "positivity_tol = 0\n")
-        code, out, err = run_cli(
-            ["simulate", "--t-end", "0.004", "--init", "homogeneous", "--config", str(path)],
-            capsys,
-        )
-        assert code == 0 and err == ""
-        assert json.loads(out)["positivity_flagged"] is False
 
     def test_scan_needs_a_wavenumber(self, config, tmp_path, capsys):
         out_dir = tmp_path / "scan"
@@ -403,6 +390,25 @@ class TestSimulate:
         assert code == 0
         resumed = json.loads(out)
         assert abs(resumed["t"] - 0.04) < 1e-15
+
+    @pytest.mark.parametrize("init", ["homogeneous", "random"])
+    def test_init_with_resume_is_refused(self, config, tmp_path, capsys, init):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+        code, out, err = run_cli(
+            [
+                "simulate", "--t-end", "0.008", "--init", init,
+                "--resume", str(out_dir / "checkpoint"), "--config", config,
+                "--out", str(tmp_path / "resumed"),
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--init" in err and "--resume" in err
+        assert not (tmp_path / "resumed").exists()
 
     @pytest.mark.parametrize("every", ["0", "-2"])
     def test_checkpoint_every_below_one_is_refused(self, config, tmp_path, every, capsys):

@@ -12,14 +12,15 @@ differs between the two:
   the random and x1-only starts, both couplings and both tau.  Dealiasing
   and the cost split differ by grid size, so 16^3 alone is not enough.
 - *Command line.*  The exit code, stdout, and the sha256 of every output
-  file of each command, all on a 16^3 config:
+  file of each command, every subcommand included, all on a 16^3 config:
   - ``simulate --stride 1 --checkpoint-every 5`` from random, homogeneous
     and ``bump:1.2`` starts at tau in {0, 0.5}, then a ``--resume`` from
     its checkpoint, and a rerun fed the first run's ``manifest.txt`` as
     ``--config``;
   - ``dispersion --k 1..3``, ``scan --k-max 3 --n-modes 32`` (with and
-    without ``--threads 2``), ``eigen --k 1 --sigma-sweep 0.0001:0.01:3``
-    and a short ``growth-match --k 1``, for both couplings at tau = 0.5.
+    without ``--threads 2``), ``eigen --k 1 --sigma-sweep 0.0001:0.01:3``,
+    a short ``growth-match --k 1`` and a short ``stability-sweep`` over
+    chi in {0, 4, 8}, for both couplings at tau = 0.5.
 
 Exit codes: 0 when nothing differs, 1 when something does, 2 when a
 checkout cannot be run.  A run takes a few seconds per checkout.
@@ -144,6 +145,7 @@ def _cli(out: dict, work: str) -> None:
             "scan --k-max 3 --n-modes 32 --threads 2",
             "eigen --k 1 --sigma-sweep 0.0001:0.01:3",
             "growth-match --k 1 --t-end 0.05 --n-modes 32",
+            "stability-sweep --t-end 0.08 --stride 1 --chi-grid 0,4,8 --k-max 2",
         ]
         for number, command in enumerate(commands):
             call(f"{command} {coupling}", command.split() + ["--config", config],
