@@ -34,6 +34,15 @@ n_theta = 16
 dt = 2e-3
 """
 
+EVERY_COMMAND = [
+    "simulate --t-end 0.004 --init homogeneous",
+    "dispersion --k 1",
+    "eigen --k 1 --sigma-sweep 0.1 --n-modes 8",
+    "scan --k-max 1 --n-modes 8",
+    "growth-match --k 1 --n-modes 8",
+    "stability-sweep --t-end 0.004",
+]
+
 
 @pytest.fixture
 def config(tmp_path):
@@ -102,16 +111,18 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "line",
-        ["ntheta = 16", "d_t = 0.002", "dealias = true", "cfl_safety = 0.5",
-         "positivity_tol = 1e-8"],
+        # the removed dealias, cfl_safety and positivity_tol keys, at values
+        # that were once accepted, are unknown like any misspelt key
+        ["ntheta = 16", "d_t = 0.002", "dealias = true", "dealias = off",
+         "cfl_safety = 0.5", "positivity_tol = 1e-8", "positivity_tol = 0"],
     )
-    def test_unknown_config_key_is_refused(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    def test_unknown_config_key_is_refused(self, tmp_path, capsys, line, command):
         path = tmp_path / "model.cfg"
         path.write_text(CONFIG_TEXT + line + "\n")
         out_dir = tmp_path / "run"
         code, out, err = run_cli(
-            ["simulate", "--t-end", "0.004", "--config", str(path), "--out", str(out_dir)],
-            capsys,
+            command.split() + ["--config", str(path), "--out", str(out_dir)], capsys
         )
         key = line.split(" =")[0]
         assert code == 1 and out == ""
@@ -194,17 +205,7 @@ class TestErrors:
             ("max_mode = -1", "max_mode must be >= 1, got -1"),
         ],
     )
-    @pytest.mark.parametrize(
-        "command",
-        [
-            "simulate --t-end 0.004 --init homogeneous",
-            "dispersion --k 1",
-            "eigen --k 1 --sigma-sweep 0.1 --n-modes 8",
-            "scan --k-max 1 --n-modes 8",
-            "growth-match --k 1 --n-modes 8",
-            "stability-sweep --t-end 0.004",
-        ],
-    )
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
     def test_bad_config_value_is_refused_by_every_command(
         self, tmp_path, capsys, line, message, command
     ):

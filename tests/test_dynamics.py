@@ -383,18 +383,21 @@ def reference_rhs(stepper, f_phys, c_hat):
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), (32, 32, 32), (16, 24, 32)])
 @pytest.mark.parametrize("tau", [0.0, 0.5])
-def test_explicit_rhs_matches_the_unpruned_reference(shape, tau):
+@pytest.mark.parametrize("lam, chi", [(1.0, 2.0), (0.0, 2.0), (1.0, 0.0)])
+def test_explicit_rhs_matches_the_unpruned_reference(shape, tau, lam, chi):
     """The RHS has the reference's bits on the kept box and its values
-    (zeros, of either sign) outside it.  max |B| is the reference's."""
+    (zeros, of either sign) outside it, also where it skips the drift
+    (lam = 0) or the turning (chi = 0).  max |B| is the reference's, or 0
+    when there is no turning."""
     grid = SpectralGrid(*shape)
-    p = params(tau=tau, coupling=Coupling.PARABOLIC)
+    p = params(tau=tau, coupling=Coupling.PARABOLIC, lam=lam, chi=chi)
     rng = np.random.default_rng(11)
     f_phys = 1.0 / TWO_PI + 0.05 * rng.standard_normal(grid.shape_phys3)
     c_hat = fft2(1.0 + 0.1 * rng.standard_normal(grid.shape_phys2))
     stepper = Stepper(grid, p, StepperConfig(dt=1e-3))
     rhs, max_abs_b = stepper.explicit_rhs(f_phys, c_hat)
     expect, expect_b = reference_rhs(stepper, f_phys, c_hat)
-    assert max_abs_b == expect_b
+    assert max_abs_b == (expect_b if chi else 0.0)
     box = grid.dealias_mask3
     assert rhs[box].tobytes() == expect[box].tobytes()
     assert np.array_equal(rhs[~box], expect[~box])
