@@ -3,13 +3,14 @@
 Every subcommand's parser carries its handler and experiment kind; a
 handler runs its ``run_*`` driver and returns the result, printed as JSON,
 and whether the driver's built-in check passed.  ``--config`` is read by
-:func:`~antkinetics.experiments.read_config`; ``--dt``, ``--rng-seed`` and
-``--threads``, when given, overwrite their config keys before the mapping
-is resolved.
+:func:`~antkinetics.experiments.read_config`; ``--threads``, when given,
+overwrites its config key before the mapping is resolved, and no other
+flag replaces a key.
 
 Exit codes: 0 on success, 2 when a run finishes but its built-in check
-fails (rate mismatch, scan inconsistency, threshold violation), 1 on
-runtime errors (bad input, non-finite fields, I/O).
+fails (rate mismatch, scan inconsistency, threshold violation) and, from
+argparse, on a usage error (an unknown or missing flag), 1 on runtime
+errors (bad input, non-finite fields, I/O).
 """
 
 from __future__ import annotations
@@ -36,14 +37,21 @@ from .experiments import (
 from .params import MODEL_KEYS
 
 
+def _number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not a number") from None
+
+
 def _parse_sigma_sweep(text: str) -> np.ndarray:
     """``a:b:n`` gives n evenly spaced values from a to b; a bare number is one value."""
     parts = text.split(":")
     if len(parts) == 1:
-        return np.array([float(parts[0])])
+        return np.array([_number(parts[0], "--sigma-sweep")])
     if len(parts) != 3:
         raise ValueError(f"expected 'a:b:n', got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = _number(parts[0], "--sigma-sweep"), _number(parts[1], "--sigma-sweep")
     for end in (lo, hi):
         if not math.isfinite(end):
             raise ValueError(f"sigma must be a finite nonnegative real, got {end}")
@@ -58,7 +66,7 @@ def _parse_sigma_sweep(text: str) -> np.ndarray:
 
 
 def _parse_chi_grid(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    return [_number(part, "--chi-grid") for part in text.split(",") if part.strip() != ""]
 
 
 def _add_global_flags(parser, suppress: bool) -> None:
@@ -69,7 +77,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
     parser.add_argument("--config", help="key = value configuration file", **kw)
     parser.add_argument("--out", help="output directory for tables, streams, manifests", **kw)
     parser.add_argument("--threads", type=int, help="parallel workers for scans", **kw)
-    parser.add_argument("--rng-seed", type=int, help="seed for random initial data", **kw)
 
 
 def _simulate(cfg, args):
@@ -130,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("simulate", _simulate, ExperimentKind.SIMULATE,
                    help="integrate the kinetic system and record observables")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--stride", type=int, default=10)
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument(
@@ -177,8 +183,8 @@ def _dispatch(args) -> int:
     if not args.config:
         raise ValueError(f"--config is required (model keys: {', '.join(MODEL_KEYS)})")
     mapping = read_config(args.config)
-    flags = {"dt": getattr(args, "dt", None), "seed": args.rng_seed, "threads": args.threads}
-    mapping.update((key, value) for key, value in flags.items() if value is not None)
+    if args.threads is not None:
+        mapping["threads"] = args.threads
     cfg = build_config(mapping, args.kind, out_dir=args.out)
     result, passed = args.handler(cfg, args)
     print(json.dumps(result, indent=2))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .params import Coupling, ModelParams, load_config
+from .params import Coupling, ModelParams, _coerce_enum, load_config
 from .spectral import (
     SpectralGrid,
     expand_bias,
@@ -47,15 +47,6 @@ class Scheme(enum.Enum):
     ETDRK2 = "etdrk2"
 
 
-def _coerce_scheme(value) -> Scheme:
-    if isinstance(value, Scheme):
-        return value
-    try:
-        return Scheme(str(value).strip().lower())
-    except ValueError:
-        raise ValueError(f"scheme must be 'imex_euler' or 'etdrk2', got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class StepperConfig:
     """Time step and scheme.  The explicit terms are always 2/3-dealiased,
@@ -66,7 +57,7 @@ class StepperConfig:
     scheme: Scheme = Scheme.ETDRK2
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", _coerce_scheme(self.scheme))
+        object.__setattr__(self, "scheme", _coerce_enum(Scheme, self.scheme, "scheme"))
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be a positive real, got {self.dt}")
 
@@ -396,6 +387,8 @@ def run(
     span = t_end - state.t
     if span < -1.0e-12:
         raise ValueError(f"t_end = {t_end} lies before the state time {state.t}")
+    if not math.isfinite(span / dt):
+        raise ValueError(f"t_end = {t_end} and dt = {dt} give a step count that is not finite")
     n_steps = int(round(span / dt))
     if abs(state.t + n_steps * dt - t_end) > 1.0e-6 * dt:
         raise ValueError(
@@ -464,9 +457,13 @@ def read_checkpoint(
     path = os.path.join(directory, "checkpoint.txt")
     meta = load_config(path)
     values = {}
-    for key, parse in (("t_hex", float.fromhex), ("step", int)):
+    # a time that is not finite or a negative step is as unreadable as garbage
+    for key, parse, valid in (("t_hex", float.fromhex, math.isfinite),
+                              ("step", int, lambda step: step >= 0)):
         try:
             values[key] = parse(meta[key])
+            if not valid(values[key]):
+                raise ValueError
         except KeyError:
             raise ValueError(f"{path}: missing key {key!r}") from None
         except ValueError:

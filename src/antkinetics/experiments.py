@@ -82,15 +82,13 @@ class ExperimentConfig:
     mapping: dict
     seed: int
     threads: int
-    amplitude: float
-    max_mode: int
     out_dir: str | None = None
 
     @property
     def digest(self) -> str:
         """sha256 of the resolved values that fix a trajectory: the model
-        parameters, the grid, dt and scheme.  The seed, the thread count and
-        the initial-data knobs are left out."""
+        parameters, the grid, dt and scheme.  The seed and the thread count
+        are left out."""
         grid, stepper = self.grid, self.stepper
         return config_hash(
             dict(
@@ -107,7 +105,7 @@ class ExperimentConfig:
 # each key besides MODEL_KEYS with its default; a value parses as its default's type
 OPTIONAL_DEFAULTS = {
     "n_x1": 64, "n_x2": 64, "n_theta": 64, "dt": 1.0e-3, "scheme": "etdrk2", "seed": 0,
-    "threads": 1, "amplitude": 0.1, "max_mode": 4,
+    "threads": 1,
 }
 OPTIONAL_KEYS = tuple(OPTIONAL_DEFAULTS)
 
@@ -148,11 +146,9 @@ def build_config(
     """
     params = model_params_from_mapping(mapping)
     values = {key: _get(mapping, key) for key in OPTIONAL_DEFAULTS}
-    for key, least in (("seed", 0), ("threads", 1), ("max_mode", 1)):
+    for key, least in (("seed", 0), ("threads", 1)):
         if values[key] < least:
             raise ValueError(f"{key} must be >= {least}, got {values[key]}")
-    if not 0.0 <= values["amplitude"] < 1.0:
-        raise ValueError(f"amplitude must lie in [0, 1), got {values['amplitude']}")
     return ExperimentConfig(
         kind=kind,
         params=params,
@@ -161,8 +157,6 @@ def build_config(
         mapping=dict(mapping, seed=values["seed"]),  # the manifest records the seed in force
         seed=values["seed"],
         threads=values["threads"],
-        amplitude=values["amplitude"],
-        max_mode=values["max_mode"],
         out_dir=out_dir,
     )
 
@@ -254,8 +248,6 @@ def bump_density(grid: SpectralGrid, l6_target: float) -> np.ndarray:
         rho = 1.0 + a * bump
         return float((np.mean(rho**6)) ** (1.0 / 6.0))
 
-    if l6_target == 1.0:
-        return np.ones(grid.shape_phys2)
     a_max = -1.0 / float(np.min(bump))  # positivity cap
     if norm_at(a_max) < l6_target:
         raise ValueError(
@@ -402,8 +394,10 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     n_modes = check_n_modes(n_modes)
     jobs = [(cfg.params, k, n_modes) for k in range(1, k_max + 1)]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    # the fork start method launches every worker at the first submit
+    workers = min(cfg.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, jobs))
     else:
         rows = [_scan_row(job) for job in jobs]
@@ -456,6 +450,9 @@ def run_growth_match(
 
     if t_end is None:
         t_end = 0.95 * math.log(1.0e3) / mu.real if unstable else 2.0
+    if not math.isfinite(t_end / stepper.dt):
+        raise ValueError(f"t_end = {t_end} and dt = {stepper.dt} give a step count "
+                         "that is not finite")
     n_steps = max(int(math.ceil(t_end / stepper.dt)), _GROWTH_SAMPLES)
     t_end = n_steps * stepper.dt
     stride = max(1, n_steps // _GROWTH_SAMPLES)
@@ -630,7 +627,7 @@ def initial_state(cfg: ExperimentConfig, init: str = "random") -> PhaseState:
         return homogeneous_state(grid, params)
     if init == "random":
         rng = np.random.default_rng(cfg.seed)
-        return random_band_limited_state(grid, params, rng, cfg.max_mode, cfg.amplitude)
+        return random_band_limited_state(grid, params, rng)
     if init.startswith("bump:"):
         try:
             l6_target = float(init.split(":", 1)[1])

@@ -31,17 +31,16 @@ class Coupling(enum.Enum):
     ELLIPTIC = "elliptic"
 
 
-def _coerce_coupling(value) -> Coupling:
-    if isinstance(value, Coupling):
+def _coerce_enum(cls, value, name: str):
+    """``value`` as a member of the two-member enum ``cls``, matched on its
+    trimmed lower-case text; errors name ``name`` and both choices."""
+    if isinstance(value, cls):
         return value
-    if isinstance(value, str):
-        try:
-            return Coupling(value.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"coupling must be 'parabolic' or 'elliptic', got {value!r}"
-            ) from None
-    raise ValueError(f"coupling must be 'parabolic' or 'elliptic', got {value!r}")
+    try:
+        return cls(str(value).strip().lower())
+    except ValueError:
+        choices = " or ".join(repr(member.value) for member in cls)
+        raise ValueError(f"{name} must be {choices}, got {value!r}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,7 +66,7 @@ class ModelParams:
     coupling: Coupling = Coupling.ELLIPTIC
 
     def __post_init__(self):
-        object.__setattr__(self, "coupling", _coerce_coupling(self.coupling))
+        object.__setattr__(self, "coupling", _coerce_enum(Coupling, self.coupling, "coupling"))
         for name in ("sigma_x", "sigma_theta", "sigma_c", "lam", "chi", "tau"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value < 0.0:
@@ -226,7 +225,7 @@ def model_params_from_mapping(mapping: Mapping) -> ModelParams:
             raise ValueError(f"config missing required key {key!r}")
         raw = mapping[key]
         if key == "coupling":
-            values["coupling"] = _coerce_coupling(raw)
+            values["coupling"] = _coerce_enum(Coupling, raw, "coupling")
             continue
         try:
             values["lam" if key == "lambda" else key] = float(raw)

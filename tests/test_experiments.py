@@ -152,6 +152,12 @@ class TestBumpDensity:
         l6 = float(np.mean(bump_density(grid, target) ** 6.0) ** (1.0 / 6.0))
         assert abs(l6 - target) <= 2.0 * np.spacing(target)
 
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (48, 48, 8), (32, 24, 16)])
+    def test_unit_target_is_exactly_uniform(self, shape):
+        rho = bump_density(SpectralGrid(*shape), 1.0)
+        assert rho.dtype == np.float64
+        assert rho.tobytes() == np.ones(shape[:2]).tobytes()
+
     def test_bad_targets_raise(self, grid):
         with pytest.raises(ValueError, match=">= 1"):
             bump_density(grid, 0.5)
@@ -217,6 +223,30 @@ class TestDispersionAndScan:
             n_modes=24,
         )
         assert serial["rows"] == threaded["rows"]
+
+    @pytest.mark.parametrize("k_max, pools", [(2, [2]), (1, [])], ids=["k_max=2", "k_max=1"])
+    def test_scan_starts_at_most_one_worker_per_wavenumber(self, monkeypatch, k_max, pools):
+        """The fork start method launches every worker at the first submit."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = build_config(mapping(chi="4.0", threads="8"), ExperimentKind.DISPERSION_MAP)
+        result = run_instability_scan(cfg, k_max=k_max, n_modes=24)
+        assert [row["k"] for row in result["rows"]] == list(range(1, k_max + 1))
+        assert started == pools
 
 
 class TestEigenSeeds:
@@ -331,7 +361,7 @@ class TestStabilitySweep:
         assert all(r.l2_f_dev < dev_cap for r in capped[1:-1])
 
     def test_initial_data_keys_reach_the_sweep(self, tmp_path, monkeypatch):
-        keys = mapping(seed="3", amplitude="0.02", max_mode="2")
+        keys = mapping(seed="3")
         sim = build_config(keys, ExperimentKind.SIMULATE, out_dir=str(tmp_path))
         run_simulate(sim, t_end=2 * sim.stepper.dt, stride=1)
         with open(tmp_path / "observables.ndjson", encoding="utf-8") as fh:
@@ -343,7 +373,7 @@ class TestStabilitySweep:
         swept = json.loads(json.dumps(record_to_dict(collectors[0].records[0])))
         assert swept == simulated
         default = ObservableCollector(sweep.params)
-        default(initial_state(build_config(mapping(seed="3"), ExperimentKind.SIMULATE)))
+        default(initial_state(build_config(mapping(), ExperimentKind.SIMULATE)))
         assert default.records[0].l2_f_dev != swept["l2_f_dev"]
 
 
