@@ -206,6 +206,9 @@ class TestErrors:
         "line, message",
         [
             ("seed = -1", "seed must be >= 0, got -1"),
+            ("seed = abc", "config key 'seed': cannot parse 'abc'"),
+            # with no --threads flag the key's own value is checked
+            ("threads = 0", "threads must be >= 1, got 0"),
         ],
     )
     @pytest.mark.parametrize("command", EVERY_COMMAND)
@@ -220,6 +223,17 @@ class TestErrors:
         )
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", EVERY_COMMAND)
+    def test_removed_seed_flag_is_a_usage_error(self, config, tmp_path, capsys, command):
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as info:
+            main(command.split() + ["--config", config, "--out", str(out_dir),
+                                    "--rng-seed", "11"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --rng-seed 11" in err
         assert not out_dir.exists()
 
     def test_scan_needs_a_wavenumber(self, config, tmp_path, capsys):

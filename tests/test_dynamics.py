@@ -252,6 +252,12 @@ def test_checkpoint_restores_non_representable_times(tmp_path, grid):
                      "step", id="step-not-an-integer"),
         pytest.param("checkpoint.txt", lambda raw: raw[:raw.index(b"step =") + 5], None,
                      id="manifest-cut-mid-line"),
+        *(pytest.param("checkpoint.txt",
+                       lambda raw, v=value: re.sub(rb"t_hex = \S+", b"t_hex = " + v, raw),
+                       "t_hex", id=f"t_hex-{value.decode()}")
+          for value in (b"nan", b"inf", b"-inf")),
+        pytest.param("checkpoint.txt", lambda raw: re.sub(rb"step = \d+", b"step = -3", raw),
+                     "step", id="step-negative"),
     ],
 )
 def test_damaged_checkpoint_is_refused_naming_the_file(tmp_path, grid, name, damage, key):
@@ -260,6 +266,13 @@ def test_damaged_checkpoint_is_refused_naming_the_file(tmp_path, grid, name, dam
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ValueError, match=re.escape(str(path)) + (f".*'{key}'" if key else "")):
         read_checkpoint(tmp_path / "ckpt")
+
+
+def test_step_count_that_is_not_finite_is_refused(grid):
+    p = params()
+    with pytest.raises(ValueError, match="t_end = 1e[+]308 and dt = 0.001 give a step count "
+                                         "that is not finite"):
+        run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 1e308)
 
 
 @pytest.mark.parametrize("every", [0, -2])
