@@ -9,8 +9,9 @@ flag replaces a key.
 
 Exit codes: 0 on success, 2 when a run finishes but its built-in check
 fails (rate mismatch, scan inconsistency, threshold violation) and, from
-argparse, on a usage error (an unknown or missing flag), 1 on runtime
-errors (bad input, non-finite fields, I/O).
+argparse, on a usage error (an unknown or missing flag, or ``simulate``'s
+``--init`` together with ``--resume``), 1 on runtime errors (bad input,
+non-finite fields, I/O).
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
 def _simulate(cfg, args):
     init = "random" if args.init is None else args.init
     if args.resume is not None:
-        if args.init is not None:
-            raise ValueError("--init and --resume cannot be combined: "
-                             "--resume DIR is --init checkpoint:DIR")
         init = f"checkpoint:{args.resume}"
     summary = run_simulate(cfg, t_end=args.t_end, stride=args.stride, init=init,
                            checkpoint_every=args.checkpoint_every)
@@ -139,13 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--stride", type=int, default=10)
     p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument(
+    # default None: argparse misses a conflict whose parsed value *is* the default
+    start = p.add_mutually_exclusive_group()
+    start.add_argument(
         "--init",
         default=None,
         help="random (default) | homogeneous | bump:<l6 norm> | checkpoint:<dir>",
     )
-    p.add_argument("--resume", default=None, metavar="DIR",
-                   help="shorthand for --init checkpoint:DIR")
+    start.add_argument("--resume", default=None, metavar="DIR",
+                       help="shorthand for --init checkpoint:DIR")
 
     p = add_parser("dispersion", _dispersion, ExperimentKind.DISPERSION_MAP,
                    help="margin and growth-rate root at one wavenumber")

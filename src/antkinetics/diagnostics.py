@@ -228,7 +228,6 @@ class ExponentialFit:
     rate: float
     r2: float
     n_samples: int
-    log_intercept: float
 
 
 def fit_exponential_rate(times, values, window=None) -> ExponentialFit:
@@ -255,9 +254,7 @@ def fit_exponential_rate(times, values, window=None) -> ExponentialFit:
     ss_res = float(np.sum((logs - predicted) ** 2))
     ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
     r2 = 1.0 if ss_tot <= 1.0e-300 else 1.0 - ss_res / ss_tot
-    return ExponentialFit(
-        rate=float(slope), r2=float(r2), n_samples=int(t.size), log_intercept=float(intercept)
-    )
+    return ExponentialFit(rate=float(slope), r2=float(r2), n_samples=int(t.size))
 
 
 # --- output formats -------------------------------------------------------------

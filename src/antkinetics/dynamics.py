@@ -444,15 +444,13 @@ def write_checkpoint(directory, state: PhaseState, config_digest: str = "") -> N
         fh.write("\n".join(lines) + "\n")
 
 
-def read_checkpoint(
-    directory, expected_config_digest: str | None = None, grid: SpectralGrid | None = None
-) -> PhaseState:
+def read_checkpoint(directory, expected_config_digest: str, grid: SpectralGrid) -> PhaseState:
     """Inverse of :func:`write_checkpoint`.
 
-    ``checkpoint.txt`` is read as a ``key = value`` config.  When ``grid``
-    is given, a checkpoint stored on another grid is rejected; then, when
-    ``expected_config_digest`` is given, one not stamped with exactly that
-    digest, an empty stamp included.
+    ``checkpoint.txt`` is read as a ``key = value`` config.  A checkpoint
+    stored on another grid than ``grid`` is refused, and then one not
+    stamped with exactly ``expected_config_digest``: an empty stamp loads
+    only under the digest ``""``.
     """
     path = os.path.join(directory, "checkpoint.txt")
     meta = load_config(path)
@@ -468,10 +466,10 @@ def read_checkpoint(
             raise ValueError(f"{path}: missing key {key!r}") from None
         except ValueError:
             raise ValueError(f"{path}: key {key!r}: cannot read {meta[key]!r}") from None
-    f_hat, grid = read_field(os.path.join(directory, "f.field"), grid)
-    c_hat, _ = read_field(os.path.join(directory, "c.field"), grid)
+    f_hat = read_field(os.path.join(directory, "f.field"), grid)
+    c_hat = read_field(os.path.join(directory, "c.field"), grid)
     stamp = meta.get("config_hash", "")
-    if expected_config_digest is not None and stamp != expected_config_digest:
+    if stamp != expected_config_digest:
         raise ValueError(
             "checkpoint was produced under a different configuration "
             f"(hash {stamp or 'missing'} != {expected_config_digest})"

@@ -38,6 +38,7 @@ TWO_PI = 2.0 * np.pi
 _MAGIC = b"ANTK"
 _FORMAT_VERSION = 1
 _HEADER_BYTES = 24  # magic, then version, n_x1, n_x2, n_theta, representation flag
+_COEFFS = np.dtype("<c16")  # interleaved little-endian (re, im) float64, flag 1
 
 
 @dataclass(frozen=True)
@@ -277,38 +278,37 @@ def lp_norm_phys(values, p: float, cell_measure: float) -> float:
 # --- serialization --------------------------------------------------------------
 
 
-def _field_shape(grid: SpectralGrid, ndim: int, fourier: bool):
-    if ndim == 2:
-        return grid.shape_four2 if fourier else grid.shape_phys2
-    return grid.shape_four3 if fourier else grid.shape_phys3
+def _field_shape(grid: SpectralGrid, ndim: int):
+    return grid.shape_four2 if ndim == 2 else grid.shape_four3
 
 
 def write_field(path, values, grid: SpectralGrid) -> None:
-    """Serialize a 2-D or 3-D field (header + row-major little-endian payload).
+    """Serialize 2-D or 3-D Fourier coefficients (header + row-major payload).
 
-    Physical (real) data is stored as float64 with representation flag 0,
-    Fourier (complex) data as interleaved (re, im) float64 pairs with flag
-    1.  A 2-D spatial field is marked by n_theta = 0 in the header.
+    The payload is the coefficients as interleaved little-endian (re, im)
+    float64 pairs under representation flag 1; a 2-D spatial field is
+    marked by n_theta = 0 in the header.  A real array is refused.
     """
     values = np.ascontiguousarray(values)
-    fourier = np.iscomplexobj(values)
-    expected = _field_shape(grid, values.ndim, fourier)
+    if not np.iscomplexobj(values):
+        raise ValueError(f"field of shape {values.shape} and dtype {values.dtype} "
+                         "is not complex: only Fourier coefficients are stored")
+    expected = _field_shape(grid, values.ndim)
     if values.shape != expected:
         raise ValueError(f"field shape {values.shape} does not match grid {expected}")
     n_theta = 0 if values.ndim == 2 else grid.n_theta
-    header = _MAGIC + struct.pack(
-        "<5I", _FORMAT_VERSION, grid.n_x1, grid.n_x2, n_theta, int(fourier)
-    )
+    header = _MAGIC + struct.pack("<5I", _FORMAT_VERSION, grid.n_x1, grid.n_x2, n_theta, 1)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(values.astype("<c16" if fourier else "<f8", copy=False).tobytes())
+        fh.write(values.astype(_COEFFS, copy=False).tobytes())
 
 
-def read_field(path, grid: SpectralGrid | None = None):
-    """Read a serialized field as ``(values, grid)``.
+def read_field(path, grid: SpectralGrid):
+    """Read the coefficients that :func:`write_field` stored on ``grid``.
 
-    Validates the header length, magic, version, representation flag and
-    payload byte count, and, when ``grid`` is given, the stored grid.
+    Validates the header length, magic, version, representation flag (1,
+    coefficients), the stored grid against ``grid`` and the payload byte
+    count; every refusal names the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -319,21 +319,15 @@ def read_field(path, grid: SpectralGrid | None = None):
     version, n_x1, n_x2, n_theta, rep_flag = struct.unpack("<5I", raw[4:_HEADER_BYTES])
     if version != _FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    if rep_flag not in (0, 1):
+    if rep_flag != 1:
         raise ValueError(f"{path}: unknown representation flag {rep_flag}")
-    if grid is None:
-        try:
-            grid = SpectralGrid(n_x1, n_x2, n_theta if n_theta else 8)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    elif (grid.n_x1, grid.n_x2) != (n_x1, n_x2) or (n_theta and grid.n_theta != n_theta):
+    if (grid.n_x1, grid.n_x2) != (n_x1, n_x2) or (n_theta and grid.n_theta != n_theta):
         raise ValueError(
             f"{path}: stored grid ({n_x1}, {n_x2}, {n_theta}) does not match "
             f"({grid.n_x1}, {grid.n_x2}, {grid.n_theta})"
         )
-    shape = _field_shape(grid, 2 if n_theta == 0 else 3, rep_flag == 1)
-    dtype = np.dtype("<c16" if rep_flag else "<f8")
-    payload, expected = raw[_HEADER_BYTES:], int(np.prod(shape)) * dtype.itemsize
+    shape = _field_shape(grid, 2 if n_theta == 0 else 3)
+    payload, expected = raw[_HEADER_BYTES:], int(np.prod(shape)) * _COEFFS.itemsize
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy(), grid
+    return np.frombuffer(payload, dtype=_COEFFS).reshape(shape).copy()

@@ -420,16 +420,13 @@ class TestSimulate:
             ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)], capsys
         )
         assert code == 0
-        code, out, err = run_cli(
-            [
-                "simulate", "--t-end", "0.008", "--init", init,
-                "--resume", str(out_dir / "checkpoint"), "--config", config,
-                "--out", str(tmp_path / "resumed"),
-            ],
-            capsys,
-        )
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "--init" in err and "--resume" in err
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--t-end", "0.008", "--init", init,
+                  "--resume", str(out_dir / "checkpoint"), "--config", config,
+                  "--out", str(tmp_path / "resumed")])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --resume: not allowed with argument --init" in err
         assert not (tmp_path / "resumed").exists()
 
     @pytest.mark.parametrize("every", ["0", "-2"])

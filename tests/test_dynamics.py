@@ -210,7 +210,7 @@ def test_resume_from_checkpoint_is_bit_exact(tmp_path, grid, coupling):
     straight = run(state, cfg, p, 0.1).state
     half = run(state, cfg, p, 0.05).state
     write_checkpoint(tmp_path / "ckpt", half, "abc123")
-    resumed_state = read_checkpoint(tmp_path / "ckpt", "abc123")
+    resumed_state = read_checkpoint(tmp_path / "ckpt", "abc123", grid)
     assert resumed_state.t == half.t
     resumed = run(resumed_state, cfg, p, 0.1).state
     assert np.array_equal(straight.f_hat, resumed.f_hat)
@@ -222,16 +222,16 @@ def test_checkpoint_rejects_foreign_configuration(tmp_path, grid):
     p = params()
     write_checkpoint(tmp_path / "ckpt", homogeneous_state(grid, p), "digest-a")
     with pytest.raises(ValueError, match="configuration"):
-        read_checkpoint(tmp_path / "ckpt", "digest-b")
+        read_checkpoint(tmp_path / "ckpt", "digest-b", grid)
 
 
 def test_checkpoint_with_an_empty_stamp_is_refused_under_a_digest(tmp_path, grid):
-    """An empty stamp still loads without a digest, but matches no digest."""
+    """An empty stamp loads only under the empty digest, which no command passes."""
     p = params()
     write_checkpoint(tmp_path / "ckpt", homogeneous_state(grid, p), "")
-    assert read_checkpoint(tmp_path / "ckpt").step == 0
+    assert read_checkpoint(tmp_path / "ckpt", "", grid).step == 0
     with pytest.raises(ValueError, match="hash missing != digest-a"):
-        read_checkpoint(tmp_path / "ckpt", "digest-a")
+        read_checkpoint(tmp_path / "ckpt", "digest-a", grid)
 
 
 def test_checkpoint_restores_non_representable_times(tmp_path, grid):
@@ -239,7 +239,7 @@ def test_checkpoint_restores_non_representable_times(tmp_path, grid):
     state = run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 0.003).state
     assert state.t == 3e-3
     write_checkpoint(tmp_path / "ckpt", state, "")
-    assert read_checkpoint(tmp_path / "ckpt").t == state.t
+    assert read_checkpoint(tmp_path / "ckpt", "", grid).t == state.t
 
 
 @pytest.mark.parametrize(
@@ -265,7 +265,7 @@ def test_damaged_checkpoint_is_refused_naming_the_file(tmp_path, grid, name, dam
     path = tmp_path / "ckpt" / name
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(ValueError, match=re.escape(str(path)) + (f".*'{key}'" if key else "")):
-        read_checkpoint(tmp_path / "ckpt")
+        read_checkpoint(tmp_path / "ckpt", "", grid)
 
 
 def test_step_count_that_is_not_finite_is_refused(grid):

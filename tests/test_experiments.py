@@ -435,7 +435,7 @@ class TestRunSimulate:
         cfg = build_config(mapping(seed="6"), ExperimentKind.SIMULATE, out_dir=str(tmp_path))
         run_simulate(cfg, t_end=0.04, stride=5, checkpoint_every=every)
         assert written == ["f.field", "c.field"] * expected
-        assert read_checkpoint(tmp_path / "checkpoint").step == 20
+        assert read_checkpoint(tmp_path / "checkpoint", cfg.digest, cfg.grid).step == 20
 
     def test_resume_from_checkpoint(self, tmp_path):
         out = tmp_path / "first"

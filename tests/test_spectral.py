@@ -248,83 +248,85 @@ def test_turning_bias_dtheta_matches_spectral_derivative():
 
 
 def test_field_shape_validation(grid, tmp_path):
-    """A field is written only with the shape its grid and dtype imply."""
+    """A field is written only with the coefficient shape its grid implies."""
     with pytest.raises(ValueError, match="shape"):
-        write_field(tmp_path / "f.field", np.zeros((3, 3, 3)), grid)
+        write_field(tmp_path / "f.field", np.zeros((3, 3, 3), dtype=complex), grid)
     with pytest.raises(ValueError, match="shape"):
         write_field(tmp_path / "c.field", np.zeros(grid.shape_phys2, dtype=complex), grid)
 
 
-class TestSerialization:
-    def test_roundtrip_3d_physical(self, grid, tmp_path):
-        rng = np.random.default_rng(4)
-        values = rng.standard_normal(grid.shape_phys3)
-        path = tmp_path / "f.field"
-        write_field(path, values, grid)
-        back, back_grid = read_field(path)
-        assert back.dtype == np.float64
-        assert back_grid == grid
-        np.testing.assert_array_equal(back, values)
+def test_real_array_is_refused(grid, tmp_path):
+    """Only coefficients are stored: a real array is refused, naming its shape and dtype."""
+    path = tmp_path / "f.field"
+    with pytest.raises(ValueError, match=re.escape(f"shape {grid.shape_phys3} and dtype float64")):
+        write_field(path, np.zeros(grid.shape_phys3), grid)
+    assert not path.exists()
 
+
+class TestSerialization:
     def test_roundtrip_3d_fourier_bit_exact(self, grid, tmp_path):
         rng = np.random.default_rng(5)
         values = fft3(rng.standard_normal(grid.shape_phys3))
         path = tmp_path / "f.field"
         write_field(path, values, grid)
-        back, _ = read_field(path, grid=grid)
+        back = read_field(path, grid)
         assert back.dtype == np.complex128
         assert np.array_equal(back, values)
 
     def test_roundtrip_2d(self, grid, tmp_path):
         rng = np.random.default_rng(6)
-        values = rng.standard_normal(grid.shape_phys2)
+        values = fft2(rng.standard_normal(grid.shape_phys2))
         path = tmp_path / "c.field"
         write_field(path, values, grid)
-        back, _ = read_field(path, grid=grid)
-        assert back.shape == grid.shape_phys2
-        np.testing.assert_array_equal(back, values)
+        back = read_field(path, grid)
+        assert back.shape == grid.shape_four2
+        assert np.array_equal(back, values)
 
     def test_version_1_layout(self, grid, tmp_path):
         """Magic, five little-endian uint32 (version, n_x1, n_x2, n_theta or 0
-        for 2-D, representation 0 physical / 1 Fourier), then the payload."""
+        for 2-D, representation 1 for Fourier coefficients), then the payload."""
         rng = np.random.default_rng(7)
         c_hat = fft2(rng.standard_normal(grid.shape_phys2))
         path = tmp_path / "c.field"
         write_field(path, c_hat, grid)
         header = b"ANTK" + struct.pack("<5I", 1, grid.n_x1, grid.n_x2, 0, 1)
         assert path.read_bytes() == header + c_hat.astype("<c16").tobytes()
-        f = rng.standard_normal(grid.shape_phys3)
-        write_field(path, f, grid)
+
+    def test_physical_file_is_refused_naming_the_file(self, grid, tmp_path):
+        """A representation-0 (physical float64) file is not a coefficient file."""
+        path = tmp_path / "f.field"
         header = b"ANTK" + struct.pack("<5I", 1, grid.n_x1, grid.n_x2, grid.n_theta, 0)
-        assert path.read_bytes() == header + f.astype("<f8").tobytes()
+        path.write_bytes(header + np.zeros(grid.shape_phys3).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown representation flag 0")):
+            read_field(path, grid)
 
     def test_bad_magic_rejected(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, np.zeros(grid.shape_phys3), grid)
+        write_field(path, np.zeros(grid.shape_four3, dtype=complex), grid)
         data = bytearray(path.read_bytes())
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="magic"):
-            read_field(path)
+            read_field(path, grid)
 
     def test_truncated_payload_rejected(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, np.zeros(grid.shape_phys3), grid)
+        write_field(path, np.zeros(grid.shape_four3, dtype=complex), grid)
         path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValueError):
-            read_field(path)
+        with pytest.raises(ValueError, match="payload"):
+            read_field(path, grid)
 
     def test_grid_mismatch_rejected(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, np.zeros(grid.shape_phys3), grid)
+        write_field(path, np.zeros(grid.shape_four3, dtype=complex), grid)
         with pytest.raises(ValueError, match="does not match"):
-            read_field(path, grid=SpectralGrid(8, 8, 8))
+            read_field(path, SpectralGrid(8, 8, 8))
 
     def test_bad_stored_grid_is_refused_naming_the_file(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, np.zeros(grid.shape_phys3), grid)
+        write_field(path, np.zeros(grid.shape_four3, dtype=complex), grid)
         data = bytearray(path.read_bytes())
         data[8:12] = struct.pack("<I", 7)  # the n_x1 word
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: n_x1 must be even")):
-            read_field(path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stored grid (7, ")):
+            read_field(path, grid)

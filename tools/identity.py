@@ -14,13 +14,17 @@ differs between the two:
 - *Command line.*  The exit code, stdout, and the sha256 of every output
   file of each command, every subcommand included, all on a 16^3 config:
   - ``simulate --stride 1 --checkpoint-every 5`` from random, homogeneous
-    and ``bump:1.2`` starts at tau in {0, 0.5}, then a ``--resume`` from
-    its checkpoint, and a rerun fed the first run's ``manifest.txt`` as
-    ``--config``;
+    and ``bump:1.2`` starts at tau in {0, 0.5} (elliptic, ETDRK2), and from
+    the random start on a parabolic IMEX config at tau = 0.5, so that an
+    evolving ``c.field`` and an IMEX checkpoint are compared; each one
+    then a ``--resume`` from its checkpoint, and a rerun fed the first
+    run's ``manifest.txt`` as ``--config``;
   - ``dispersion --k 1..3``, ``scan --k-max 3 --n-modes 32`` (with and
     without ``--threads 2``), ``eigen --k 1 --sigma-sweep 0.0001:0.01:3``,
     a short ``growth-match --k 1`` and a short ``stability-sweep`` over
-    chi in {0, 4, 8}, for both couplings at tau = 0.5.
+    chi in {0, 4, 8}, for both couplings at tau = 0.5;
+  - a short ``growth-match --k 1`` at sigma_theta = 0, whose seeds come
+    from the inviscid eigenfunction.
 
 Exit codes: 0 when nothing differs, 1 when something does, 2 when a
 checkout cannot be run.  A run takes a few seconds per checkout.
@@ -43,7 +47,7 @@ STEPS = 20
 MODEL = dict(sigma_x=0.002, sigma_theta=0.25, sigma_c=0.05, gamma=1.0, lam=1.0, chi=4.0)
 CONFIG_TEXT = """\
 sigma_x = 0.002
-sigma_theta = 0.25
+sigma_theta = {sigma_theta}
 sigma_c = 0.05
 gamma = 1.0
 lambda = 1.0
@@ -54,7 +58,7 @@ n_x1 = 16
 n_x2 = 16
 n_theta = 16
 dt = 2e-3
-"""
+{extra}"""
 
 
 def _sha(data: bytes) -> str:
@@ -116,27 +120,37 @@ def _cli(out: dict, work: str) -> None:
                 with open(path, "rb") as fh:
                     out[f"{name}: {os.path.relpath(path, out_dir)}"] = _sha(fh.read())
 
-    def config_file(tau, coupling):
-        path = os.path.join(work, f"{coupling}-tau{tau}.cfg")
+    def config_file(tau, coupling, sigma_theta="0.25", scheme=None):
+        # the scheme key is written only when given, so the older cases keep their text
+        path = os.path.join(work, f"{coupling}-{scheme}-tau{tau}-sigma{sigma_theta}.cfg")
+        extra = f"scheme = {scheme}\n" if scheme else ""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(CONFIG_TEXT.format(tau=tau, coupling=coupling))
+            fh.write(CONFIG_TEXT.format(tau=tau, coupling=coupling, sigma_theta=sigma_theta,
+                                        extra=extra))
         return path
+
+    def simulate(name, config, init, tag):
+        first = os.path.join(work, tag)
+        argv = ["simulate", "--t-end", "0.02", "--stride", "1", "--checkpoint-every", "5",
+                "--init", init]
+        call(name, argv + ["--config", config], first)
+        call(name + " resumed", ["simulate", "--config", config, "--t-end", "0.04",
+                                 "--stride", "1", "--resume", os.path.join(first, "checkpoint")],
+             os.path.join(work, f"{tag}-resumed"))
+        call(name + " from its manifest", argv + ["--config", os.path.join(first, "manifest.txt")],
+             os.path.join(work, f"{tag}-manifest"))
 
     for tau in (0.0, 0.5):
         config = config_file(tau, "elliptic")
         for init in ("random", "homogeneous", "bump:1.2"):
-            name = f"simulate tau={tau} {init}"
-            first = os.path.join(work, f"{tau}-{init}")
-            argv = ["simulate", "--t-end", "0.02", "--stride", "1", "--checkpoint-every", "5",
-                    "--init", init]
-            call(name, argv + ["--config", config], first)
-            call(name + " resumed", ["simulate", "--config", config, "--t-end", "0.04",
-                                     "--stride", "1", "--resume",
-                                     os.path.join(first, "checkpoint")],
-                 os.path.join(work, f"{tau}-{init}-resumed"))
-            call(name + " from its manifest",
-                 argv + ["--config", os.path.join(first, "manifest.txt")],
-                 os.path.join(work, f"{tau}-{init}-manifest"))
+            simulate(f"simulate tau={tau} {init}", config, init, f"{tau}-{init}")
+    simulate("simulate parabolic imex_euler tau=0.5 random",
+             config_file(0.5, "parabolic", scheme="imex_euler"), "random",
+             "parabolic-imex")
+    call("growth-match --k 1 elliptic sigma_theta=0",
+         "growth-match --k 1 --t-end 0.05 --n-modes 32".split()
+         + ["--config", config_file(0.5, "elliptic", sigma_theta="0")],
+         os.path.join(work, "inviscid-growth-match"))
 
     for coupling in ("elliptic", "parabolic"):
         config = config_file(0.5, coupling)
