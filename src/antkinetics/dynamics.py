@@ -40,6 +40,7 @@ TWO_PI = 2.0 * math.pi
 # flagged and warns; a state with min f < -_POSITIVITY_TOL * max f is flagged
 _CFL_SAFETY = 0.5
 _POSITIVITY_TOL = 1.0e-8
+_MAX_STEPS = 10**9  # far above any run's need; a larger count would never finish
 
 
 class Scheme(enum.Enum):
@@ -390,6 +391,9 @@ def run(
     if not math.isfinite(span / dt):
         raise ValueError(f"t_end = {t_end} and dt = {dt} give a step count that is not finite")
     n_steps = int(round(span / dt))
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"t_end = {t_end} and dt = {dt} give {span / dt:.3g} steps, "
+                         f"more than the {_MAX_STEPS} a run may take")
     if abs(state.t + n_steps * dt - t_end) > 1.0e-6 * dt:
         raise ValueError(
             f"t_end - t = {span:g} is not an integer multiple of dt = {dt:g}"

@@ -294,7 +294,11 @@ def eigen_seed_states(
         for rotated in (False, True):
             field3 = eigenfunction_field(w * u, grid, k, rotated)
             f_hat = fft3(field3)
-            scale = eps / l2_norm3_hat(f_hat, grid)
+            norm = l2_norm3_hat(f_hat, grid)
+            if not (math.isfinite(norm) and norm > 0.0):
+                raise ValueError(f"the seed at k = {k} has L2 norm {norm!r} at "
+                                 f"chi_breve = {rp.chi_breve!r}; no mode can be seeded")
+            scale = eps / norm
             f = (1.0 / TWO_PI) + scale * field3
             c_values = None
             if chem is not None:
@@ -421,6 +425,49 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
     return {"rows": rows, "ok": all(row["consistent"] for row in rows)}
 
 
+# --- ensemble members ---------------------------------------------------------------
+
+
+class _StopMember(Exception):
+    """Raised inside :func:`_run_member` to end a member's run early."""
+
+
+def _run_member(state, stepper, params, t_end, stride, fit_from, stop=None):
+    """Run one member from ``state``, sampled every ``stride`` steps, and summarise it.
+
+    ``stop(records)``, when given, is asked after every sample and ends the
+    run when true.  A blow-up (``RuntimeError``) ends it too, keeping the
+    samples from before it.  Returns ``(t_stop, error, mass_err, min_f,
+    fit)``: ``error`` is the blow-up's message or "", and ``fit`` is the
+    deviation's :func:`fit_exponential_rate` over ``(fit_from * t_stop,
+    t_stop)`` or, when that fails, its message.
+    """
+    collector = ObservableCollector(params)
+
+    def check(_state):
+        if stop(collector.records):
+            raise _StopMember
+
+    error = ""
+    try:
+        run(state, stepper, params, t_end, stride=stride,
+            observers=(collector,) if stop is None else (collector, check))
+    except _StopMember:
+        pass
+    except RuntimeError as exc:
+        error = str(exc)
+    records = collector.records  # never empty: the initial state is sampled
+    t_stop = float(records[-1].t)
+    try:
+        fit = fit_exponential_rate([record.t for record in records],
+                                   [record.l2_f_dev for record in records],
+                                   window=(fit_from * t_stop, t_stop))
+    except ValueError as exc:
+        fit = str(exc)
+    mass_err = max(abs(record.mass - 1.0) for record in records)
+    return t_stop, error, mass_err, min(record.min_f for record in records), fit
+
+
 # --- growth match -------------------------------------------------------------------
 
 
@@ -437,7 +484,7 @@ def run_growth_match(
     amplitude.  Reports per-seed fitted rates, the predicted eigenvalue,
     and the Gram matrix of the seeds; ``ok`` demands 5 percent agreement
     and a diagonal Gram matrix when a positive eigenvalue exists, negative
-    rates otherwise.
+    rates otherwise.  A seed that blows up raises the stepper's error.
     """
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
@@ -468,22 +515,18 @@ def run_growth_match(
 
     table = []
     for name, state, _ in seeds:
-        collector = ObservableCollector(params)
-        run(state, stepper, params, t_end, observers=(collector,), stride=stride)
-        times = [record.t for record in collector.records]
-        devs = [record.l2_f_dev for record in collector.records]
+        t_stop, error, mass_err, min_f, fit = _run_member(
+            state, stepper, params, t_end, stride, fit_from=0.1)
+        if error:
+            raise RuntimeError(error)
         entry = {"seed": name}
-        try:
-            fit = fit_exponential_rate(
-                times, devs, window=(0.1 * t_end, t_end)
-            )
+        if isinstance(fit, str):
+            entry.update(rate=None, r2=None, diagnostic=fit)
+        else:
             entry.update(rate=fit.rate, r2=fit.r2, n_samples=fit.n_samples)
             if unstable:
                 entry["relative_error"] = abs(fit.rate - mu.real) / abs(mu.real)
-        except ValueError as exc:
-            entry.update(rate=None, r2=None, diagnostic=str(exc))
-        entry["mass_err"] = max(abs(record.mass - 1.0) for record in collector.records)
-        entry["min_f"] = min(record.min_f for record in collector.records)
+        entry.update(mass_err=mass_err, min_f=min_f)
         table.append(entry)
 
     if unstable:
@@ -519,10 +562,6 @@ def run_growth_match(
 # --- stability sweep ----------------------------------------------------------------
 
 
-class _DeviationCapReached(Exception):
-    """Raised by the sweep's cap observer to end a member's run."""
-
-
 def run_stability_sweep(
     cfg: ExperimentConfig,
     chi_values=None,
@@ -551,40 +590,20 @@ def run_stability_sweep(
     base_state = initial_state(cfg, "random")
     dev_cap = 0.2 / math.sqrt(TWO_PI)  # stop well before trails saturate
 
+    def reached_cap(records):
+        return len(records) > 1 and records[-1].l2_f_dev >= dev_cap
+
     rows = []
     for chi in chi_values:
-        run_params = params.replace(chi=chi)
-        collector = ObservableCollector(run_params)
-
-        def stop_at_cap(state):
-            records = collector.records
-            if len(records) > 1 and records[-1].l2_f_dev >= dev_cap:
-                raise _DeviationCapReached
-
-        error = ""
-        try:
-            run(base_state, cfg.stepper, run_params, t_end,
-                observers=(collector, stop_at_cap), stride=stride)
-        except _DeviationCapReached:
-            pass
-        except RuntimeError as exc:  # keep the clean samples from before blow-up
-            error = str(exc)
-        records = collector.records  # never empty: the initial state is sampled
-        times = np.array([record.t for record in records])
-        devs = np.array([record.l2_f_dev for record in records])
-        row = {
-            "chi": chi,
-            "t_stop": float(times[-1]),
-            "error": error,
-            "mass_err": max(abs(record.mass - 1.0) for record in records),
-            "min_f": min(record.min_f for record in records),
-        }
-        try:
-            fit = fit_exponential_rate(times, devs, window=(0.5 * row["t_stop"], row["t_stop"]))
+        t_stop, error, mass_err, min_f, fit = _run_member(
+            base_state, cfg.stepper, params.replace(chi=chi), t_end, stride,
+            fit_from=0.5, stop=reached_cap)
+        row = {"chi": chi, "t_stop": t_stop, "error": error, "mass_err": mass_err,
+               "min_f": min_f}
+        if isinstance(fit, str):
+            row.update(rate=None, r2=None, error=error or fit)
+        else:
             row.update(rate=fit.rate, r2=fit.r2)
-        except ValueError as exc:
-            row.update(rate=None, r2=None)
-            row["error"] = row["error"] or str(exc)
         rows.append(row)
 
     threshold = None

@@ -7,11 +7,12 @@ import re
 
 import pytest
 
-from antkinetics import cli
+from antkinetics import cli, dynamics
 from antkinetics.cli import _parse_chi_grid, _parse_sigma_sweep, build_parser, main
 from antkinetics.dynamics import homogeneous_state, write_checkpoint
 from antkinetics.experiments import ExperimentKind, run_simulate
 from antkinetics.params import (
+    MODEL_KEYS,
     inviscid_threshold_chi,
     model_params_from_mapping,
     parse_config_text,
@@ -48,6 +49,16 @@ EVERY_COMMAND = [
 def config(tmp_path):
     path = tmp_path / "model.cfg"
     path.write_text(CONFIG_TEXT)
+    return str(path)
+
+
+def config_with(tmp_path, values):
+    """A config file holding CONFIG_TEXT with the given keys' values replaced."""
+    text = CONFIG_TEXT
+    for key, value in values.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+    path = tmp_path / "model.cfg"
+    path.write_text(text)
     return str(path)
 
 
@@ -191,12 +202,21 @@ class TestErrors:
              "initial condition 'bump:abc': the l6 norm must be a number"),
             ("simulate --t-end 0.004 --init bump:",
              "initial condition 'bump:': the l6 norm must be a number"),
+            # every bias deposit carries chi_breve, so at chi = 0 the seed vanishes
+            ("chi=0 growth-match --k 1 --t-end 0.05 --n-modes 32",
+             "the seed at k = 1 has L2 norm 0.0 at chi_breve = 0.0; no mode can be seeded"),
+            ("chi=0 coupling=parabolic growth-match --k 1 --t-end 0.05 --n-modes 32",
+             "the seed at k = 1 has L2 norm 0.0 at chi_breve = 0.0; no mode can be seeded"),
         ],
     )
-    def test_bad_value_is_refused_naming_it(self, config, tmp_path, capsys, command, message):
+    def test_bad_value_is_refused_naming_it(self, tmp_path, capsys, command, message):
+        # leading ``key=value`` words set config keys
+        words = command.split()
+        edits = [word for word in words if "=" in word and not word.startswith("-")]
+        config = config_with(tmp_path, dict(edit.split("=") for edit in edits))
         out_dir = tmp_path / "run"
         code, out, err = run_cli(
-            command.split() + ["--config", config, "--out", str(out_dir)], capsys
+            words[len(edits):] + ["--config", config, "--out", str(out_dir)], capsys
         )
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
@@ -223,6 +243,30 @@ class TestErrors:
         )
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [
+        "simulate --t-end 0.01",
+        "growth-match --k 1 --t-end 0.01 --n-modes 8",
+        "stability-sweep --t-end 0.01",
+    ])
+    def test_step_count_above_the_ceiling_is_refused_before_stepping(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """dt = 1e-300 asks for 1e298 steps: refused before the first one is taken."""
+        def no_step(self, state):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(dynamics.Stepper, "step", no_step)
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(
+            command.split() + ["--config", config_with(tmp_path, {"dt": "1e-300"}),
+                               "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == ("error: t_end = 0.01 and dt = 1e-300 give 1e+298 steps, "
+                       "more than the 1000000000 a run may take\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", EVERY_COMMAND)
@@ -257,6 +301,34 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "n_modes must be >= 4 to hold the deposit modes, got 2" in err
         assert not out_dir.exists()
+
+
+# every model value below, on both couplings, through every command on an 8^3 grid
+EXTREME_VALUES = ("0", "1e-300", "1e300", "5e-324", "1.7e308", "nan", "-0.0")
+SHORT_COMMANDS = [
+    "simulate --t-end 0.004",
+    "dispersion --k 1",
+    "eigen --k 1 --sigma-sweep 0.1 --n-modes 8",
+    "scan --k-max 1 --n-modes 8",
+    "growth-match --k 1 --t-end 0.004 --n-modes 8",
+    "stability-sweep --t-end 0.004 --k-max 1",
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", SHORT_COMMANDS)
+@pytest.mark.parametrize("coupling", ["elliptic", "parabolic"])
+@pytest.mark.parametrize("value", EXTREME_VALUES)
+@pytest.mark.parametrize("key", [key for key in MODEL_KEYS if key != "coupling"])
+def test_any_config_value_exits_with_a_code_not_a_traceback(
+    tmp_path, capsys, key, value, coupling, command
+):
+    """Each case succeeds, fails its check, or exits 1 with one ``error:`` line."""
+    config = config_with(tmp_path, {"n_x1": 8, "n_x2": 8, "n_theta": 8,
+                                    "coupling": coupling, key: value})
+    code, _, err = run_cli(command.split() + ["--config", config,
+                                              "--out", str(tmp_path / "run")], capsys)
+    assert code in (0, 2) or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)
 
 
 class TestDispersion:
@@ -353,6 +425,19 @@ class TestGrowthMatch:
         monkeypatch.setattr(cli, "run_growth_match", lambda cfg, k, **kw: {"ok": False})
         code, out, _ = run_cli(["growth-match", "--k", "1", "--config", config], capsys)
         assert code == 2 and json.loads(out) == {"ok": False}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_exits_one_with_the_steppers_message(self, tmp_path, capsys):
+        out_dir = tmp_path / "gm"
+        code, out, err = run_cli(
+            ["growth-match", "--k", "1", "--n-modes", "8", "--out", str(out_dir),
+             "--config", config_with(tmp_path, {"chi": "400", "dt": "0.2"})],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == ("error: non-finite values at t = 1.6, step 8: "
+                       "update (overflow during the step)\n")
+        assert not out_dir.exists()
 
 
 class TestStabilitySweep:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from antkinetics import dynamics
 from antkinetics.dynamics import (
     PhaseState,
     Scheme,
@@ -21,6 +22,7 @@ from antkinetics.dynamics import (
     write_checkpoint,
 )
 from antkinetics.experiments import random_band_limited_state
+from antkinetics.linstab import rotate_field_quarter
 from antkinetics.params import Coupling, ModelParams
 from antkinetics.spectral import (
     SpectralGrid,
@@ -275,6 +277,15 @@ def test_step_count_that_is_not_finite_is_refused(grid):
         run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 1e308)
 
 
+def test_step_count_above_the_ceiling_is_refused(grid, monkeypatch):
+    p = params()
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 3)
+    assert run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 0.003).n_steps == 3
+    with pytest.raises(ValueError, match="t_end = 0.004 and dt = 0.001 give 4 steps, "
+                                         "more than the 3 a run may take"):
+        run(homogeneous_state(grid, p), StepperConfig(dt=1e-3), p, 0.004)
+
+
 @pytest.mark.parametrize("every", [0, -2])
 def test_checkpoint_every_below_one_is_refused(tmp_path, grid, every):
     p = params()
@@ -456,6 +467,41 @@ def test_step_returns_fresh_arrays_and_leaves_its_input():
     rhs, _ = stepper.explicit_rhs(state.f_physical(), state.c_hat)
     again, _ = stepper.explicit_rhs(first.f_physical(), first.c_hat)
     assert rhs is not again and not np.shares_memory(rhs, again)
+
+
+# images of a physical field, 3-D f or 2-D c, under symmetries of the model on the torus
+SYMMETRIES = {
+    "x1 shift": lambda a: np.roll(a, 3, axis=0),
+    # (x1, x2, theta) -> (x2, -x1, theta - pi/2)
+    "quarter turn": lambda a: (rotate_field_quarter(a) if a.ndim == 3
+                               else np.roll(np.flip(a.T, axis=0), 1, axis=0)),
+    # (x2, theta) -> (-x2, -theta)
+    "reflection": lambda a: np.roll(np.flip(a, axis=tuple(range(1, a.ndim))), 1,
+                                    axis=tuple(range(1, a.ndim))),
+}
+
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("scheme", ["imex_euler", "etdrk2"])
+@pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
+def test_stepping_commutes_with_the_symmetries(grid, coupling, scheme, tau, symmetry):
+    """20 steps from the image of a random start end at the image of 20 steps from it."""
+    image = SYMMETRIES[symmetry]
+    p = params(tau=tau, coupling=coupling)
+    stepper = Stepper(grid, p, StepperConfig(dt=1e-3, scheme=scheme))
+
+    def twenty_steps(state):
+        for _ in range(20):
+            state = stepper.step(state)
+        return state.f_physical(), ifft2(state.c_hat, grid)
+
+    start = random_band_limited_state(grid, p, np.random.default_rng(5))
+    f, c = twenty_steps(start)
+    f_turned, c_turned = twenty_steps(state_from_density(
+        grid, p, image(start.f_physical()), c_values=image(ifft2(start.c_hat, grid))))
+    assert np.max(np.abs(image(f) - f_turned)) <= 1e-13 * np.max(np.abs(f))
+    assert np.max(np.abs(image(c) - c_turned)) <= 1e-13 * np.max(np.abs(c))
 
 
 def test_non_finite_input_raises_named_error(grid):

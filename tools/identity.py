@@ -24,7 +24,11 @@ differs between the two:
     a short ``growth-match --k 1`` and a short ``stability-sweep`` over
     chi in {0, 4, 8}, for both couplings at tau = 0.5;
   - a short ``growth-match --k 1`` at sigma_theta = 0, whose seeds come
-    from the inviscid eigenfunction.
+    from the inviscid eigenfunction;
+  - for both couplings at tau = 0.5, two ``stability-sweep`` runs past the
+    CFL bound that reach every member outcome: at dt = 0.05 over chi in
+    {0, 30, 400} each member stops at the deviation cap, and at dt = 0.2
+    over chi in {0, 400} one member blows up and one fails its rate fit.
 
 Exit codes: 0 when nothing differs, 1 when something does, 2 when a
 checkout cannot be run.  A run takes a few seconds per checkout.
@@ -57,7 +61,7 @@ coupling = {coupling}
 n_x1 = 16
 n_x2 = 16
 n_theta = 16
-dt = 2e-3
+dt = {dt}
 {extra}"""
 
 
@@ -120,13 +124,13 @@ def _cli(out: dict, work: str) -> None:
                 with open(path, "rb") as fh:
                     out[f"{name}: {os.path.relpath(path, out_dir)}"] = _sha(fh.read())
 
-    def config_file(tau, coupling, sigma_theta="0.25", scheme=None):
+    def config_file(tau, coupling, sigma_theta="0.25", scheme=None, dt="2e-3"):
         # the scheme key is written only when given, so the older cases keep their text
-        path = os.path.join(work, f"{coupling}-{scheme}-tau{tau}-sigma{sigma_theta}.cfg")
+        path = os.path.join(work, f"{coupling}-{scheme}-tau{tau}-sigma{sigma_theta}-dt{dt}.cfg")
         extra = f"scheme = {scheme}\n" if scheme else ""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(CONFIG_TEXT.format(tau=tau, coupling=coupling, sigma_theta=sigma_theta,
-                                        extra=extra))
+                                        dt=dt, extra=extra))
         return path
 
     def simulate(name, config, init, tag):
@@ -164,6 +168,14 @@ def _cli(out: dict, work: str) -> None:
         for number, command in enumerate(commands):
             call(f"{command} {coupling}", command.split() + ["--config", config],
                  os.path.join(work, f"{coupling}-{number}"))
+        # sweep members that stop at the deviation cap, blow up, or fail their fit
+        for dt, command in (
+            ("0.05", "stability-sweep --t-end 2 --stride 1 --chi-grid 0,30,400"),
+            ("0.2", "stability-sweep --t-end 4 --stride 20 --chi-grid 0,400"),
+        ):
+            call(f"{command} {coupling} dt={dt}",
+                 command.split() + ["--config", config_file(0.5, coupling, dt=dt)],
+                 os.path.join(work, f"{coupling}-dt{dt}"))
 
 
 def worker() -> None:
