@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every subcommand's parser carries its handler and experiment kind; a
-handler runs its ``run_*`` driver and returns the result, printed as JSON,
-and whether the driver's built-in check passed.  ``--config`` is read by
+handler runs its ``run_*`` driver and returns the result, printed as strict
+JSON, and whether the driver's built-in check passed.  ``--config`` is read by
 :func:`~antkinetics.experiments.read_config`; ``--threads``, when given,
 overwrites its config key before the mapping is resolved, and no other
 flag replaces a key.
@@ -11,13 +11,12 @@ Exit codes: 0 on success, 2 when a run finishes but its built-in check
 fails (rate mismatch, scan inconsistency, threshold violation) and, from
 argparse, on a usage error (an unknown or missing flag, or ``simulate``'s
 ``--init`` together with ``--resume``), 1 on runtime errors (bad input,
-non-finite fields, I/O).
+non-finite fields, a result that JSON cannot hold, I/O).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    MODEL_KEYS,
     ExperimentKind,
     build_config,
     dispersion_report,
@@ -34,8 +34,8 @@ from .experiments import (
     run_instability_scan,
     run_simulate,
     run_stability_sweep,
+    strict_json,
 )
-from .params import MODEL_KEYS
 
 
 def _number(text: str, flag: str) -> float:
@@ -187,7 +187,7 @@ def _dispatch(args) -> int:
         mapping["threads"] = args.threads
     cfg = build_config(mapping, args.kind, out_dir=args.out)
     result, passed = args.handler(cfg, args)
-    print(json.dumps(result, indent=2))
+    print(strict_json(result, args.command))
     return 0 if passed else 2
 
 

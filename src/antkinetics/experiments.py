@@ -10,6 +10,7 @@ outputs bit for bit.
 from __future__ import annotations
 
 import enum
+import hashlib
 import itertools
 import json
 import math
@@ -48,14 +49,11 @@ from .linstab import (
     viscous_spectrum,
 )
 from .params import (
-    MODEL_KEYS,
     ModelParams,
     condition_gap,
-    config_hash,
     instability_margin,
     inviscid_threshold_chi,
     load_config,
-    model_params_from_mapping,
     most_unstable_k,
     reduce_params,
 )
@@ -90,19 +88,23 @@ class ExperimentConfig:
         parameters, the grid, dt and scheme.  The seed and the thread count
         are left out."""
         grid, stepper = self.grid, self.stepper
-        return config_hash(
-            dict(
-                self.params.as_dict(),
-                coupling=self.params.coupling.value,
-                grid=f"{grid.n_x1} {grid.n_x2} {grid.n_theta}",
-                dt=float(stepper.dt),
-                scheme=stepper.scheme.value,
-                dealias=True,  # hashed as before, so existing hashes and stamps stay valid
-            )
+        values = dict(
+            self.params.as_dict(),
+            coupling=self.params.coupling.value,
+            grid=f"{grid.n_x1} {grid.n_x2} {grid.n_theta}",
+            dt=float(stepper.dt),
+            scheme=stepper.scheme.value,
+            dealias=True,  # hashed as before, so existing hashes and stamps stay valid
         )
+        canon = "".join(f"{key} = {values[key]}\n" for key in sorted(values))
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-# each key besides MODEL_KEYS with its default; a value parses as its default's type
+# the required keys: a model value parses as a real number, and ``coupling``
+# as text that ModelParams coerces
+MODEL_KEYS = ("sigma_x", "sigma_theta", "sigma_c", "gamma", "lambda", "chi", "tau", "coupling")
+
+# each other key with its default; a value parses as its default's type
 OPTIONAL_DEFAULTS = {
     "n_x1": 64, "n_x2": 64, "n_theta": 64, "dt": 1.0e-3, "scheme": "etdrk2", "seed": 0,
     "threads": 1,
@@ -125,12 +127,19 @@ def read_config(path) -> dict:
 
 
 def _get(mapping, key):
-    default = OPTIONAL_DEFAULTS[key]
+    """The parsed value of ``key``: a missing model key is refused, and an
+    optional key that is missing or empty takes its default."""
     value = mapping.get(key)
-    if value is None or value == "":
-        return default
+    if key in MODEL_KEYS:
+        if key not in mapping:
+            raise ValueError(f"config missing required key {key!r}")
+        parse = str if key == "coupling" else float
+    elif value is None or value == "":
+        return OPTIONAL_DEFAULTS[key]
+    else:
+        parse = type(OPTIONAL_DEFAULTS[key])
     try:
-        return type(default)(value)
+        return parse(value)
     except (TypeError, ValueError):
         raise ValueError(f"config key {key!r}: cannot parse {value!r}") from None
 
@@ -140,12 +149,13 @@ def build_config(
 ) -> ExperimentConfig:
     """Resolve a flat config mapping into a runnable experiment setup.
 
-    Every optional key is parsed and range-checked here, once; keys outside
-    the model and optional keys are ignored.  The stepper takes ``dt`` and
-    ``scheme``; dealiasing and the step monitors have no keys.
+    Every key is parsed and range-checked here, once; other keys are
+    ignored.  The stepper takes ``dt`` and ``scheme``; dealiasing and the
+    step monitors have no keys.
     """
-    params = model_params_from_mapping(mapping)
-    values = {key: _get(mapping, key) for key in OPTIONAL_DEFAULTS}
+    model = {key: _get(mapping, key) for key in MODEL_KEYS}
+    params = ModelParams(**{"lam" if key == "lambda" else key: model[key] for key in MODEL_KEYS})
+    values = {key: _get(mapping, key) for key in OPTIONAL_KEYS}
     for key, least in (("seed", 0), ("threads", 1)):
         if values[key] < least:
             raise ValueError(f"{key} must be >= {least}, got {values[key]}")
@@ -176,7 +186,8 @@ def write_outputs(cfg: ExperimentConfig, name: str, columns, rows, result=None) 
     """Every experiment's output files; writes nothing without ``cfg.out_dir``.
 
     Writes the manifest, ``<name>.csv`` from ``columns`` and the dict
-    ``rows``, and ``result`` as ``<name>.json`` when given.  With
+    ``rows``, and ``result`` as ``<name>.json`` when given, refused by
+    :func:`strict_json` when it holds a non-finite number.  With
     ``columns=None`` the rows are observable records, written to
     ``<name>.ndjson`` and ``<name>.csv``; ``rows=None`` writes no table.
     """
@@ -190,8 +201,32 @@ def write_outputs(cfg: ExperimentConfig, name: str, columns, rows, result=None) 
         write_ndjson(stem + ".ndjson", rows)
         write_records_csv(stem + ".csv", rows)
     if result is not None:
+        text = strict_json(result, f"{name}.json")
         with open(stem + ".json", "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+            fh.write(text)
+
+
+def _non_finite(value, key=None):
+    """Yields (key, number) for each non-finite float in the JSON-like ``value``,
+    with the innermost dict key that holds it."""
+    if isinstance(value, dict):
+        for inner, item in value.items():
+            yield from _non_finite(item, inner)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _non_finite(item, key)
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield key, value
+
+
+def strict_json(result, what: str) -> str:
+    """``result`` as indented JSON without NaN or Infinity, which strict
+    parsers refuse; a non-finite number is refused, naming ``what`` and its key."""
+    try:
+        return json.dumps(result, indent=2, allow_nan=False)
+    except ValueError:
+        key, value = next(_non_finite(result))
+        raise ValueError(f"{what}: {key!r} is {value!r}, which JSON cannot hold") from None
 
 
 # --- initial data ------------------------------------------------------------------
@@ -405,7 +440,6 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
             rows = list(pool.map(_scan_row, jobs))
     else:
         rows = [_scan_row(job) for job in jobs]
-    rows.sort(key=lambda row: row["k"])
     write_outputs(
         cfg,
         "scan",
@@ -576,7 +610,9 @@ def run_stability_sweep(
     reaches the cap.  The default chi grid brackets the predicted inviscid
     threshold at the most unstable wavenumber symmetrically, so the
     sign-change midpoint can be compared against the prediction.  Rates are
-    fitted on the second half of each run.
+    fitted on the second half of each run.  ``threshold_ok`` needs at least
+    one fitted rate, and a sign-change midpoint, if any, at or below the
+    prediction.
     """
     params = cfg.params
     k_star = most_unstable_k(params, k_max)
@@ -618,7 +654,8 @@ def run_stability_sweep(
         "empirical_threshold": threshold,
         "most_unstable_k": k_star,
         "inviscid_threshold_chi": chi_star,
-        "threshold_ok": threshold is None or threshold <= chi_star * (1.0 + 1.0e-9),
+        "threshold_ok": bool(fitted)
+        and (threshold is None or threshold <= chi_star * (1.0 + 1.0e-9)),
     }
     write_outputs(
         cfg,
@@ -705,10 +742,9 @@ def run_simulate(
             write_outputs(cfg, "observables", None, clean)
     if len(clean) < len(collector.records):
         bad = collector.records[len(clean)]
-        raise RuntimeError(
-            f"non-finite observables in the sample at t = {bad.t!r}; "
-            f"the {len(clean)} samples before it were written"
-        )
+        written = f"; the {len(clean)} samples before it were written"
+        raise RuntimeError(f"non-finite observables in the sample at t = {bad.t!r}"
+                           + (written if cfg.out_dir and clean else ""))
     final = collector.records[-1]
     summary = {
         "t": result.state.t,

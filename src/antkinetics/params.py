@@ -1,4 +1,4 @@
-"""Model parameters, validation, and single-wavenumber reductions.
+"""The model, its single-wavenumber reductions, and the config text format.
 
 The model describes a density f(x, theta) of walkers on the unit spatial
 torus carrying a heading angle theta, coupled to a chemical field c(x).
@@ -10,15 +10,17 @@ coupling) or with its own linear dynamics (parabolic coupling).
 All stability questions for spatial wavenumber k reduce to a handful of
 scalar combinations of the raw parameters; :class:`ReducedParams` carries
 those and nothing else.
+
+The ``key = value`` text of config files and ``checkpoint.txt`` is read
+here; :mod:`antkinetics.experiments` decides which keys a config holds and
+how each value parses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import math
-from typing import Mapping
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -178,10 +180,7 @@ def most_unstable_k(params: ModelParams, k_max: int) -> int:
     return min(range(1, k_max + 1), key=lambda k: inviscid_threshold_chi(params, k))
 
 
-# --- plain-text configuration -------------------------------------------------
-
-MODEL_KEYS = ("sigma_x", "sigma_theta", "sigma_c", "gamma", "lambda", "chi", "tau", "coupling")
-
+# --- the key = value text format ----------------------------------------------
 
 def parse_config_text(text: str) -> dict:
     """Parse a flat ``key = value`` configuration into a string mapping.
@@ -212,29 +211,3 @@ def load_config(path) -> dict:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-
-def model_params_from_mapping(mapping: Mapping) -> ModelParams:
-    """Build :class:`ModelParams` from a flat config mapping.
-
-    Expects the keys sigma_x, sigma_theta, sigma_c, gamma, lambda, chi,
-    tau, coupling; errors name the offending key.
-    """
-    values = {}
-    for key in MODEL_KEYS:
-        if key not in mapping:
-            raise ValueError(f"config missing required key {key!r}")
-        raw = mapping[key]
-        if key == "coupling":
-            values["coupling"] = _coerce_enum(Coupling, raw, "coupling")
-            continue
-        try:
-            values["lam" if key == "lambda" else key] = float(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key!r}: expected a real number, got {raw!r}") from None
-    return ModelParams(**values)
-
-
-def config_hash(mapping: Mapping) -> str:
-    """Order-independent sha256 of a flat mapping, over its ``key = value`` lines."""
-    canon = "".join(f"{key} = {mapping[key]}\n" for key in sorted(mapping))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()

@@ -10,13 +10,8 @@ import pytest
 from antkinetics import cli, dynamics
 from antkinetics.cli import _parse_chi_grid, _parse_sigma_sweep, build_parser, main
 from antkinetics.dynamics import homogeneous_state, write_checkpoint
-from antkinetics.experiments import ExperimentKind, run_simulate
-from antkinetics.params import (
-    MODEL_KEYS,
-    inviscid_threshold_chi,
-    model_params_from_mapping,
-    parse_config_text,
-)
+from antkinetics.experiments import MODEL_KEYS, ExperimentKind, build_config, run_simulate
+from antkinetics.params import inviscid_threshold_chi, parse_config_text
 from antkinetics.spectral import SpectralGrid
 
 CONFIG_TEXT = """\
@@ -227,6 +222,9 @@ class TestErrors:
         [
             ("seed = -1", "seed must be >= 0, got -1"),
             ("seed = abc", "config key 'seed': cannot parse 'abc'"),
+            # a model value parses in the same place, and is refused in the same words
+            ("chi = abc", "config key 'chi': cannot parse 'abc'"),
+            ("lambda =", "config key 'lambda': cannot parse ''"),
             # with no --threads flag the key's own value is checked
             ("threads = 0", "threads must be >= 1, got 0"),
         ],
@@ -323,12 +321,35 @@ SHORT_COMMANDS = [
 def test_any_config_value_exits_with_a_code_not_a_traceback(
     tmp_path, capsys, key, value, coupling, command
 ):
-    """Each case succeeds, fails its check, or exits 1 with one ``error:`` line."""
+    """Each case succeeds, fails its check, or exits 1 with one ``error:`` line;
+    what it prints and every JSON file it writes is strict JSON."""
     config = config_with(tmp_path, {"n_x1": 8, "n_x2": 8, "n_theta": 8,
                                     "coupling": coupling, key: value})
-    code, _, err = run_cli(command.split() + ["--config", config,
-                                              "--out", str(tmp_path / "run")], capsys)
+    code, out, err = run_cli(command.split() + ["--config", config,
+                                                "--out", str(tmp_path / "run")], capsys)
     assert code in (0, 2) or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)
+    for text in [out] * bool(out) + [path.read_text() for path in tmp_path.rglob("*.json")]:
+        strict_json_load(text)
+
+
+def strict_json_load(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command, values, key, value", [
+    ("dispersion --k 1", {"sigma_c": "1.7e308"}, "condition_gap_4pi2", "-inf"),
+    ("scan --k-max 1 --n-modes 8", {"lambda": "5e-324"}, "margin", "inf"),
+])
+def test_a_result_that_json_cannot_hold_exits_one_naming_the_key(
+    tmp_path, capsys, command, values, key, value
+):
+    code, out, err = run_cli(command.split() + ["--config", config_with(tmp_path, values)],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {command.split()[0]}: '{key}' is {value}, which JSON cannot hold\n"
 
 
 class TestDispersion:
@@ -444,13 +465,7 @@ class TestStabilitySweep:
     def test_threshold_violation_exits_two(self, tmp_path, capsys):
         # a grid whose sign-change midpoint lies above the predicted
         # threshold must be reported as a failed check
-        params = model_params_from_mapping(
-            {
-                "sigma_x": "0.002", "sigma_theta": "0.25", "sigma_c": "0.05",
-                "gamma": "1.0", "lambda": "1.0", "chi": "4.0", "tau": "0.0",
-                "coupling": "elliptic",
-            }
-        )
+        params = build_config(parse_config_text(CONFIG_TEXT), ExperimentKind.SIMULATE).params
         chi_star = inviscid_threshold_chi(params, 1)
         grid_arg = f"{0.8 * chi_star},{1.6 * chi_star}"
         path = tmp_path / "model.cfg"
@@ -466,6 +481,20 @@ class TestStabilitySweep:
         result = json.loads(out)
         assert result["empirical_threshold"] > result["inviscid_threshold_chi"]
         assert not result["threshold_ok"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_sweep_without_a_fitted_member_fails_its_check(self, tmp_path, capsys):
+        """Past the CFL bound one member blows up and the other fails its fit,
+        so no rate is left to place a threshold by."""
+        code, out, _ = run_cli(
+            ["stability-sweep", "--t-end", "4", "--stride", "20", "--chi-grid", "0,400",
+             "--config", config_with(tmp_path, {"tau": "0.5", "dt": "0.2"})],
+            capsys,
+        )
+        assert code == 2
+        result = json.loads(out)
+        assert [row["rate"] for row in result["rows"]] == [None, None]
+        assert result["empirical_threshold"] is None and result["threshold_ok"] is False
 
 
 class TestSimulate:
@@ -609,7 +638,7 @@ class TestSimulate:
         assert not (tmp_path / "resumed").exists()
 
     def test_resume_from_an_unstamped_checkpoint_is_refused(self, config, tmp_path, capsys):
-        params = model_params_from_mapping(parse_config_text(CONFIG_TEXT))
+        params = build_config(parse_config_text(CONFIG_TEXT), ExperimentKind.SIMULATE).params
         ckpt = tmp_path / "ckpt"
         write_checkpoint(ckpt, homogeneous_state(SpectralGrid(16, 16, 16), params), "")
         code, out, err = run_cli(
@@ -735,7 +764,9 @@ class TestSimulate:
             ],
             capsys,
         )
-        assert code == 1 and "non-finite" in err and "t = 1.0" in err
+        assert code == 1
+        assert err == ("error: non-finite observables in the sample at t = 1.0; "
+                       "the 5 samples before it were written\n")
         ndjson = [
             json.loads(line) for line in (out_dir / "observables.ndjson").read_text().splitlines()
         ]
@@ -747,6 +778,19 @@ class TestSimulate:
             assert float(row["t"]) == record["t"]
             assert float(row["l2_f_dev"]) == record["l2_f_dev"]
             assert float(row["lp_rho_6"]) == record["lp_rho"]["6"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_last_sample_without_out_claims_no_write(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        unstable = config_with(tmp_path, {"chi": "400", "dt": "0.2"})
+        code, out, err = run_cli(
+            ["simulate", "--t-end", "1.0", "--stride", "1", "--config", unstable], capsys
+        )
+        assert code == 1 and out == ""
+        assert err == "error: non-finite observables in the sample at t = 1.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.cfg"]
 
     def test_resume_at_the_checkpoint_time_is_refused(self, config, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -23,6 +23,7 @@ from antkinetics.experiments import (
     run_simulate,
     run_stability_sweep,
     write_manifest,
+    write_outputs,
 )
 from antkinetics.params import ModelParams, inviscid_threshold_chi
 from antkinetics.spectral import SpectralGrid, fft3
@@ -90,6 +91,16 @@ class TestManifest:
         assert "kind = simulate" in text
         assert "sigma_theta = 0.25" in text
         assert (d1 / "manifest.txt").read_bytes() == (d2 / "manifest.txt").read_bytes()
+
+    def test_a_result_json_cannot_hold_is_refused_naming_the_key(self, tmp_path):
+        """The table keeps its non-finite cell; no part of the JSON file is written."""
+        cfg = build_config(mapping(), ExperimentKind.SIMULATE, out_dir=str(tmp_path))
+        rows = [{"chi": 1.0, "rate": 0.5}, {"chi": 2.0, "rate": float("nan")}]
+        with pytest.raises(ValueError,
+                           match=r"^probe\.json: 'rate' is nan, which JSON cannot hold$"):
+            write_outputs(cfg, "probe", ("chi", "rate"), rows, {"rows": rows})
+        assert (tmp_path / "probe.csv").read_text() == "chi,rate\n1.0,0.5\n2.0,nan\n"
+        assert not (tmp_path / "probe.json").exists()
 
 
 class TestRandomBandLimitedState:

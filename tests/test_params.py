@@ -1,15 +1,15 @@
 import math
+import re
 
 import pytest
 
+from antkinetics.experiments import ExperimentKind, build_config
 from antkinetics.params import (
     Coupling,
     ModelParams,
     condition_gap,
-    config_hash,
     instability_margin,
     inviscid_threshold_chi,
-    model_params_from_mapping,
     most_unstable_k,
     parse_config_text,
     reduce_params,
@@ -109,25 +109,35 @@ def test_parse_config_text_roundtrip():
     mapping = parse_config_text(text)
     assert mapping["lambda"] == "1.0"
     assert mapping["extra_knob"] == "7"
-    p = model_params_from_mapping(mapping)
-    assert p == base_params()
+    assert build_config(mapping, ExperimentKind.SIMULATE).params == base_params()
 
 
-def test_mapping_errors_name_the_key():
-    mapping = {"sigma_x": "0.01", "sigma_theta": "0.02", "sigma_c": "0.05",
-               "gamma": "1.0", "lambda": "oops", "chi": "5.0", "tau": "0.2",
-               "coupling": "elliptic"}
-    with pytest.raises(ValueError, match="lambda"):
-        model_params_from_mapping(mapping)
-    mapping.pop("chi")
-    mapping["lambda"] = "1.0"
-    with pytest.raises(ValueError, match="chi"):
-        model_params_from_mapping(mapping)
+MAPPING = {"sigma_x": "0.01", "sigma_theta": "0.02", "sigma_c": "0.05", "gamma": "1.0",
+           "lambda": "1.0", "chi": "5.0", "tau": "0.2", "coupling": "elliptic"}
+
+
+@pytest.mark.parametrize("key", sorted(MAPPING))
+def test_mapping_errors_name_the_key(key):
+    """A value that does not parse, or a missing model key, is refused naming the key."""
+    bad = dict(MAPPING, **{key: "oops"})
+    message = ("coupling must be 'parabolic' or 'elliptic', got 'oops'" if key == "coupling"
+               else f"config key '{key}': cannot parse 'oops'")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_config(bad, ExperimentKind.SIMULATE)
+    missing = {other: value for other, value in MAPPING.items() if other != key}
+    with pytest.raises(ValueError, match=f"^config missing required key '{key}'$"):
+        build_config(missing, ExperimentKind.SIMULATE)
+
+
+def digest(**changes):
+    return build_config(dict(MAPPING, **changes), ExperimentKind.SIMULATE).digest
 
 
 def test_config_hash_is_order_insensitive_and_value_sensitive():
-    a = {"chi": "5.0", "gamma": "1.0"}
-    b = {"gamma": "1.0", "chi": "5.0"}
-    c = {"chi": "5.1", "gamma": "1.0"}
-    assert config_hash(a) == config_hash(b)
-    assert config_hash(a) != config_hash(c)
+    backwards = dict(reversed(list(MAPPING.items())))
+    assert build_config(backwards, ExperimentKind.SIMULATE).digest == digest()
+    assert digest(chi="5") == digest()  # values are hashed after parsing
+    assert digest(seed="4", threads="2") == digest()
+    changed = [digest(chi="5.1"), digest(coupling="parabolic"), digest(n_theta="32"),
+               digest(dt="2e-3"), digest(scheme="imex_euler")]
+    assert len({digest(), *changed}) == 1 + len(changed)

@@ -13,8 +13,8 @@ import sys
 
 import antkinetics
 import antkinetics.cli  # noqa: F401  (loads every module the traced names live in)
-from antkinetics.experiments import OPTIONAL_DEFAULTS, OPTIONAL_KEYS, _get
-from antkinetics.params import MODEL_KEYS, parse_config_text
+from antkinetics.experiments import MODEL_KEYS, OPTIONAL_DEFAULTS, OPTIONAL_KEYS, _get
+from antkinetics.params import parse_config_text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -49,7 +49,7 @@ def test_readme_config_block_lists_every_accepted_key():
 
 def test_config_keys_are_read_in_one_place():
     """The CLI holds no key list and reads no raw config value; only
-    ``build_config`` parses an optional key."""
+    ``build_config`` parses a key."""
     package = pathlib.Path(antkinetics.__file__).parent
     cli_tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(cli_tree) if isinstance(node, ast.ImportFrom)

@@ -19,6 +19,10 @@ differs between the two:
     evolving ``c.field`` and an IMEX checkpoint are compared; each one
     then a ``--resume`` from its checkpoint, and a rerun fed the first
     run's ``manifest.txt`` as ``--config``;
+  - the same ``simulate`` triple from random on a config that spells valid
+    values unusually (``coupling =  Elliptic``, ``chi = 4``, ``lambda =
+    1e0``, ``scheme = ETDRK2`` and an empty ``seed =``), so that the parsed
+    values, the config hash and the manifest are compared too;
   - ``dispersion --k 1..3``, ``scan --k-max 3 --n-modes 32`` (with and
     without ``--threads 2``), ``eigen --k 1 --sigma-sweep 0.0001:0.01:3``,
     a short ``growth-match --k 1`` and a short ``stability-sweep`` over
@@ -151,6 +155,12 @@ def _cli(out: dict, work: str) -> None:
     simulate("simulate parabolic imex_euler tau=0.5 random",
              config_file(0.5, "parabolic", scheme="imex_euler"), "random",
              "parabolic-imex")
+    spelled = os.path.join(work, "unusual-spellings.cfg")
+    with open(spelled, "w", encoding="utf-8") as fh:
+        fh.write(CONFIG_TEXT.format(tau=0.5, coupling=" Elliptic", sigma_theta="0.25", dt="2e-3",
+                                    extra="scheme = ETDRK2\nseed =\n")
+                 .replace("lambda = 1.0", "lambda = 1e0").replace("chi = 4.0", "chi = 4"))
+    simulate("simulate unusual spellings tau=0.5 random", spelled, "random", "spelled")
     call("growth-match --k 1 elliptic sigma_theta=0",
          "growth-match --k 1 --t-end 0.05 --n-modes 32".split()
          + ["--config", config_file(0.5, "elliptic", sigma_theta="0")],
