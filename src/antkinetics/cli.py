@@ -11,7 +11,8 @@ Exit codes: 0 on success, 2 when a run finishes but its built-in check
 fails (rate mismatch, scan inconsistency, threshold violation) and, from
 argparse, on a usage error (an unknown or missing flag, or ``simulate``'s
 ``--init`` together with ``--resume``), 1 on runtime errors (bad input,
-non-finite fields, a result that JSON cannot hold, I/O).
+non-finite fields, a result that JSON cannot hold, I/O, an allocation too
+large for memory).
 """
 
 from __future__ import annotations
@@ -195,8 +196,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # a bare MemoryError (not numpy's) carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -19,7 +19,7 @@ import enum
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class PhaseState:
     c_hat: np.ndarray
     t: float = 0.0
     step: int = 0
-    flags: frozenset = frozenset()
     _f_phys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_physical(self, work=None) -> np.ndarray:
@@ -150,6 +149,10 @@ class Stepper:
     keeps the operand order of the allocating form, so the numbers are the
     same to the bit.  Arrays the stepper returns are never scratch, and the
     input state is never written.
+
+    The monitor flags are the stepper's own, never a state's: its first
+    step past the advisory CFL bound sets ``cfl_flagged`` and warns, and
+    its first start below the positivity floor sets ``positivity_flagged``.
     """
 
     def __init__(self, grid: SpectralGrid, params: ModelParams, cfg: StepperConfig):
@@ -175,6 +178,8 @@ class Stepper:
         self.chi_in = params.chi * grid.in_3d
         self.dx_min = min(1.0 / grid.n_x1, 1.0 / grid.n_x2)
         self.dtheta = TWO_PI / grid.n_theta
+        self.cfl_flagged = False
+        self.positivity_flagged = False
 
         # coefficients: the two stage RHS, the stage, two transform buffers;
         # physical: the stage density, the bias, and a product buffer
@@ -242,7 +247,6 @@ class Stepper:
 
         f_phys = state.f_physical()
         n1, max_abs_b = self.explicit_rhs(f_phys, c_hat, out=self._n1)
-        flags = state.flags
 
         # the parabolic field is driven by the frozen (IMEX) or trapezoidal
         # (ETDRK2) production; the elliptic one is slaved to the new density
@@ -267,17 +271,15 @@ class Stepper:
         if not np.all(np.isfinite(f_new)) or not np.all(np.isfinite(c_new)):
             self._raise_nonfinite(state, n1)
 
-        if dt > self.advisory_dt(max_abs_b):
-            flags = flags | {"cfl"}
-            if "cfl" not in state.flags:
-                warnings.warn(
-                    f"dt = {dt:g} exceeds the advisory CFL bound "
-                    f"{self.advisory_dt(max_abs_b):g} at t = {state.t:g}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        if _below_floor(f_phys):
-            flags = flags | {"positivity"}
+        if not self.cfl_flagged and dt > self.advisory_dt(max_abs_b):
+            self.cfl_flagged = True
+            warnings.warn(
+                f"dt = {dt:g} exceeds the advisory CFL bound "
+                f"{self.advisory_dt(max_abs_b):g} at t = {state.t:g}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        self.positivity_flagged = self.positivity_flagged or _below_floor(f_phys)
 
         new_state = PhaseState(
             grid=grid,
@@ -285,7 +287,6 @@ class Stepper:
             c_hat=c_new,
             t=state.t + dt,
             step=state.step + 1,
-            flags=flags,
         )
         # every state a run makes is stepped from or checked at the end
         new_state.f_physical(work=self._t1)
@@ -377,8 +378,9 @@ def run(
     t_end must be finite and an integer number of steps away from state.t.
     Observers are callables receiving the current state; they are invoked
     on the initial state (unless suppressed), on every stride-th step, and
-    on the final one.  The positivity flag covers every state the run steps
-    from and the final one.  With ``checkpoint_dir`` the final state is
+    on the final one.  The flags come from this run's own stepper (see
+    :class:`Stepper`) and so cover its own steps only, plus a positivity
+    check on the final state.  With ``checkpoint_dir`` the final state is
     checkpointed, and with ``checkpoint_every`` also every that many steps
     before it.  The input state is left unchanged.
     """
@@ -419,15 +421,14 @@ def run(
         if checkpoint_dir is not None and periodic and i < n_steps:
             write_checkpoint(checkpoint_dir, state, config_digest)
     # each step checks the state it starts from; the final one is checked here
-    if n_steps and _below_floor(state.f_physical()):
-        state.flags = state.flags | {"positivity"}
+    positivity = stepper.positivity_flagged or (n_steps > 0 and _below_floor(state.f_physical()))
     if checkpoint_dir is not None:
         write_checkpoint(checkpoint_dir, state, config_digest)
     return RunResult(
         state=state,
         n_steps=n_steps,
-        cfl_flagged="cfl" in state.flags,
-        positivity_flagged="positivity" in state.flags,
+        cfl_flagged=stepper.cfl_flagged,
+        positivity_flagged=positivity,
     )
 
 

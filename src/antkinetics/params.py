@@ -124,6 +124,11 @@ def reduce_params(params: ModelParams, k: int) -> ReducedParams:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
+    try:
+        float(k)
+    except OverflowError:
+        raise ValueError(f"k must be a positive integer that a float can hold, got one of "
+                         f"{len(str(k))} digits") from None
     nu_breve = FOUR_PI_SQ * k * k * params.sigma_c + params.gamma
     if params.coupling is Coupling.ELLIPTIC:
         chi_breve = params.chi * k / nu_breve

@@ -40,6 +40,15 @@ EVERY_COMMAND = [
 ]
 
 
+HUGE_MATRIX = ("Unable to allocate 568. PiB for an array with shape (200000001, 200000001) "
+               "and data type complex128")
+HUGE_GRID = "n_x1=1000000 n_x2=1000000 n_theta=1000000"
+HUGE_STATE = ("Unable to allocate 6.94 EiB for an array with shape (1000000, 500001, 1000000) "
+              "and data type complex128")
+HUGE_K = "1" * 400  # no float holds it
+HUGE_K_REFUSED = "k must be a positive integer that a float can hold, got one of 400 digits"
+
+
 @pytest.fixture
 def config(tmp_path):
     path = tmp_path / "model.cfg"
@@ -202,6 +211,14 @@ class TestErrors:
              "the seed at k = 1 has L2 norm 0.0 at chi_breve = 0.0; no mode can be seeded"),
             ("chi=0 coupling=parabolic growth-match --k 1 --t-end 0.05 --n-modes 32",
              "the seed at k = 1 has L2 norm 0.0 at chi_breve = 0.0; no mode can be seeded"),
+            # each request is far above any address space, so it fails before allocating
+            ("eigen --k 1 --sigma-sweep 0.1 --n-modes 100000000", HUGE_MATRIX),
+            ("growth-match --k 1 --n-modes 100000000", HUGE_MATRIX),
+            (f"{HUGE_GRID} simulate --t-end 0.004", HUGE_STATE),
+            (f"{HUGE_GRID} stability-sweep --t-end 0.004", HUGE_STATE),
+            *(pytest.param(f"{command} --k {HUGE_K}", HUGE_K_REFUSED,
+                           id=f"{command} --k <400 digits>")
+              for command in ("dispersion", "eigen --sigma-sweep 0.1", "growth-match")),
         ],
     )
     def test_bad_value_is_refused_naming_it(self, tmp_path, capsys, command, message):
@@ -242,6 +259,14 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    def test_a_memory_error_without_a_message_is_named(self, config, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "dispersion_report", exhausted)
+        code, out, err = run_cli(["dispersion", "--k", "1", "--config", config], capsys)
+        assert (code, out, err) == (1, "", "error: MemoryError\n")
 
     @pytest.mark.parametrize("command", [
         "simulate --t-end 0.01",

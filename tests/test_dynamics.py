@@ -1,7 +1,9 @@
+import dataclasses
 import decimal
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +191,9 @@ def test_run_leaves_its_input_unchanged(tmp_path, grid):
                  checkpoint_dir=tmp_path / "ckpt", checkpoint_every=3)
     assert result.positivity_flagged and len(seen) == 4
     assert np.array_equal(state.f_hat, f0) and np.array_equal(state.c_hat, c0)
-    assert (state.t, state.step, state.flags) == (0.0, 0, frozenset())
+    assert (state.t, state.step) == (0.0, 0)
+    # the flag is the run's, so a second run from the same input raises it again
+    assert run(state, StepperConfig(dt=1e-3), p, 0.006).positivity_flagged
 
 
 def test_observers_sampled_on_stride_and_final(grid):
@@ -326,6 +330,35 @@ def test_cfl_violation_warns_and_flags(grid):
     assert result.cfl_flagged
 
 
+def test_a_run_warns_once_however_many_steps_pass_the_bound(grid):
+    p = params(sigma_x=0.0, sigma_theta=0.0, chi=0.0, lam=1.0)
+    with pytest.warns(RuntimeWarning, match="advisory CFL bound") as caught:
+        result = run(homogeneous_state(grid, p), StepperConfig(dt=0.1), p, 0.5)
+    assert result.n_steps == 5 and result.cfl_flagged
+    assert len(caught) == 1
+
+
+def test_flags_belong_to_the_run_not_to_its_input_state(grid):
+    """A run reports and warns for its own steps only: run B from a flagged
+    run A's state at a small dt is not flagged, and run C from the same
+    state past the bound warns again."""
+    p = params(sigma_x=0.0, sigma_theta=0.0, chi=0.0, lam=1.0)
+    with pytest.warns(RuntimeWarning, match="advisory CFL bound"):
+        a = run(homogeneous_state(grid, p), StepperConfig(dt=0.1), p, 0.2)
+    assert a.cfl_flagged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = run(a.state, StepperConfig(dt=0.001), p, 0.21)
+    assert b.n_steps == 10 and not b.cfl_flagged
+    with pytest.warns(RuntimeWarning, match="advisory CFL bound") as caught:
+        c = run(a.state, StepperConfig(dt=0.1), p, 0.4)
+    assert c.cfl_flagged and len(caught) == 1
+
+
+def test_phase_state_carries_no_flags():
+    assert "flags" not in {f.name for f in dataclasses.fields(PhaseState)}
+
+
 def test_positivity_monitor_flags_without_clipping(grid):
     p = params(chi=0.0, lam=0.0)
     pert = np.cos(TWO_PI * grid.x1)[:, None, None] * np.ones(grid.shape_phys3)
@@ -344,8 +377,8 @@ def test_positivity_flag_checks_the_final_state(grid):
     with pytest.warns(RuntimeWarning, match="advisory CFL bound"):
         result = run(state, StepperConfig(dt=0.2), p, 0.2)
     assert result.n_steps == 1 and float(np.min(result.state.f_physical())) < 0.0
-    assert result.positivity_flagged and "positivity" in result.state.flags
-    assert state.flags == frozenset()
+    assert result.positivity_flagged
+    assert (state.t, state.step) == (0.0, 0) and float(np.min(state.f_physical())) > 0.0
 
 
 @pytest.mark.parametrize("observe", [False, True])

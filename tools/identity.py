@@ -6,11 +6,13 @@ Runs one fixed matrix on each checkout, in a fresh Python process with that
 checkout's ``src`` first on ``PYTHONPATH``, and names every output that
 differs between the two:
 
-- *States.*  The sha256 of f_hat, c_hat and the physical f after 20 steps
-  from random, homogeneous and x1-only starts.  At 16^3 and 32^3 this covers
-  both couplings, both schemes and tau in {0, 0.5}; at 64^3, ETDRK2 from
-  the random and x1-only starts, both couplings and both tau.  Dealiasing
-  and the cost split differ by grid size, so 16^3 alone is not enough.
+- *States.*  The sha256 of f_hat, c_hat and the physical f after a
+  20-step ``dynamics.run`` from random, homogeneous and x1-only starts, and
+  the run's ``cfl_flagged`` and ``positivity_flagged``.  At 16^3 and 32^3
+  this covers both couplings, both schemes and tau in {0, 0.5}; at 64^3,
+  ETDRK2 from the random and x1-only starts, both couplings and both tau.
+  Dealiasing and the cost split differ by grid size, so 16^3 alone is not
+  enough.
 - *Command line.*  The exit code, stdout, and the sha256 of every output
   file of each command, every subcommand included, all on a 16^3 config:
   - ``simulate --stride 1 --checkpoint-every 5`` from random, homogeneous
@@ -19,6 +21,9 @@ differs between the two:
     evolving ``c.field`` and an IMEX checkpoint are compared; each one
     then a ``--resume`` from its checkpoint, and a rerun fed the first
     run's ``manifest.txt`` as ``--config``;
+  - ``simulate --stride 1`` from random at tau = 0.5 past the CFL bound:
+    at chi = 4, dt = 0.05 and ``--t-end 0.5``, which raises the CFL flag
+    only, and at chi = 400, dt = 0.2 and ``--t-end 0.2``, which raises both;
   - the same ``simulate`` triple from random on a config that spells valid
     values unusually (``coupling =  Elliptic``, ``chi = 4``, ``lambda =
     1e0``, ``scheme = ETDRK2`` and an empty ``seed =``), so that the parsed
@@ -51,7 +56,7 @@ import sys
 import tempfile
 import warnings
 
-STEPS = 20
+STEPS, DT = 20, 1.0e-3
 MODEL = dict(sigma_x=0.002, sigma_theta=0.25, sigma_c=0.05, gamma=1.0, lam=1.0, chi=4.0)
 CONFIG_TEXT = """\
 sigma_x = 0.002
@@ -59,7 +64,7 @@ sigma_theta = {sigma_theta}
 sigma_c = 0.05
 gamma = 1.0
 lambda = 1.0
-chi = 4.0
+chi = {chi}
 tau = {tau}
 coupling = {coupling}
 n_x1 = 16
@@ -89,7 +94,7 @@ def _state_cases():
 def _states(out: dict) -> None:
     import numpy as np
 
-    from antkinetics.dynamics import Stepper, StepperConfig, homogeneous_state, state_from_density
+    from antkinetics.dynamics import StepperConfig, homogeneous_state, run, state_from_density
     from antkinetics.experiments import random_band_limited_state
     from antkinetics.params import Coupling, ModelParams
     from antkinetics.spectral import SpectralGrid
@@ -104,13 +109,13 @@ def _states(out: dict) -> None:
         else:
             f = (1.0 + 0.2 * np.cos(2.0 * np.pi * grid.x1))[:, None, None] / (2.0 * np.pi)
             state = state_from_density(grid, params, np.broadcast_to(f, grid.shape_phys3))
-        stepper = Stepper(grid, params, StepperConfig(dt=1.0e-3, scheme=scheme))
-        for _ in range(STEPS):
-            state = stepper.step(state)
+        result = run(state, StepperConfig(dt=DT, scheme=scheme), params, STEPS * DT)
+        state = result.state
         out[f"state {name}: f_hat"] = _sha(state.f_hat.tobytes())
         out[f"state {name}: c_hat"] = _sha(state.c_hat.tobytes())
         out[f"state {name}: f"] = _sha(state.f_physical().tobytes())
-        out[f"state {name}: flags"] = ",".join(sorted(state.flags))
+        out[f"state {name}: cfl_flagged"] = str(result.cfl_flagged)
+        out[f"state {name}: positivity_flagged"] = str(result.positivity_flagged)
 
 
 def _cli(out: dict, work: str) -> None:
@@ -128,13 +133,14 @@ def _cli(out: dict, work: str) -> None:
                 with open(path, "rb") as fh:
                     out[f"{name}: {os.path.relpath(path, out_dir)}"] = _sha(fh.read())
 
-    def config_file(tau, coupling, sigma_theta="0.25", scheme=None, dt="2e-3"):
+    def config_file(tau, coupling, sigma_theta="0.25", scheme=None, dt="2e-3", chi="4.0"):
         # the scheme key is written only when given, so the older cases keep their text
-        path = os.path.join(work, f"{coupling}-{scheme}-tau{tau}-sigma{sigma_theta}-dt{dt}.cfg")
+        path = os.path.join(
+            work, f"{coupling}-{scheme}-tau{tau}-sigma{sigma_theta}-dt{dt}-chi{chi}.cfg")
         extra = f"scheme = {scheme}\n" if scheme else ""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(CONFIG_TEXT.format(tau=tau, coupling=coupling, sigma_theta=sigma_theta,
-                                        dt=dt, extra=extra))
+                                        dt=dt, chi=chi, extra=extra))
         return path
 
     def simulate(name, config, init, tag):
@@ -155,11 +161,16 @@ def _cli(out: dict, work: str) -> None:
     simulate("simulate parabolic imex_euler tau=0.5 random",
              config_file(0.5, "parabolic", scheme="imex_euler"), "random",
              "parabolic-imex")
+    for chi, dt, t_end in (("4.0", "0.05", "0.5"), ("400", "0.2", "0.2")):
+        call(f"simulate past the CFL bound chi={chi} dt={dt}",
+             ["simulate", "--t-end", t_end, "--stride", "1",
+              "--config", config_file(0.5, "elliptic", dt=dt, chi=chi)],
+             os.path.join(work, f"flagged-chi{chi}"))
     spelled = os.path.join(work, "unusual-spellings.cfg")
     with open(spelled, "w", encoding="utf-8") as fh:
         fh.write(CONFIG_TEXT.format(tau=0.5, coupling=" Elliptic", sigma_theta="0.25", dt="2e-3",
-                                    extra="scheme = ETDRK2\nseed =\n")
-                 .replace("lambda = 1.0", "lambda = 1e0").replace("chi = 4.0", "chi = 4"))
+                                    chi="4", extra="scheme = ETDRK2\nseed =\n")
+                 .replace("lambda = 1.0", "lambda = 1e0"))
     simulate("simulate unusual spellings tau=0.5 random", spelled, "random", "spelled")
     call("growth-match --k 1 elliptic sigma_theta=0",
          "growth-match --k 1 --t-end 0.05 --n-modes 32".split()
