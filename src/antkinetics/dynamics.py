@@ -453,7 +453,8 @@ def read_checkpoint(directory, expected_config_digest: str, grid: SpectralGrid) 
     """Inverse of :func:`write_checkpoint`.
 
     ``checkpoint.txt`` is read as a ``key = value`` config.  A checkpoint
-    stored on another grid than ``grid`` is refused, and then one not
+    whose ``f.field`` is not 3-D or whose ``c.field`` is not 2-D, or that is
+    stored on another grid than ``grid``, is refused, and then one not
     stamped with exactly ``expected_config_digest``: an empty stamp loads
     only under the digest ``""``.
     """
@@ -471,8 +472,14 @@ def read_checkpoint(directory, expected_config_digest: str, grid: SpectralGrid) 
             raise ValueError(f"{path}: missing key {key!r}") from None
         except ValueError:
             raise ValueError(f"{path}: key {key!r}: cannot read {meta[key]!r}") from None
-    f_hat = read_field(os.path.join(directory, "f.field"), grid)
-    c_hat = read_field(os.path.join(directory, "c.field"), grid)
+    fields = []
+    for name, ndim in (("f.field", 3), ("c.field", 2)):
+        field_path = os.path.join(directory, name)
+        fields.append(read_field(field_path, grid))
+        if fields[-1].ndim != ndim:
+            raise ValueError(f"{field_path}: holds {fields[-1].ndim}-D coefficients, "
+                             f"expected {ndim}-D")
+    f_hat, c_hat = fields
     stamp = meta.get("config_hash", "")
     if stamp != expected_config_digest:
         raise ValueError(

@@ -9,6 +9,7 @@ outputs bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import itertools
@@ -434,7 +435,7 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
     n_modes = check_n_modes(n_modes)
     jobs = [(cfg.params, k, n_modes) for k in range(1, k_max + 1)]
     # the fork start method launches every worker at the first submit
-    workers = min(cfg.threads, len(jobs))
+    workers = min(cfg.threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, jobs))
@@ -608,13 +609,18 @@ def run_stability_sweep(
     Every member starts from ``initial_state(cfg, "random")`` and runs once,
     until t_end or the first sample past the initial one whose deviation
     reaches the cap.  The default chi grid brackets the predicted inviscid
-    threshold at the most unstable wavenumber symmetrically, so the
+    threshold at the most unstable wavenumber in 1..k_max symmetrically
+    (``k_max`` is refused above half the smaller spatial grid size), so the
     sign-change midpoint can be compared against the prediction.  Rates are
     fitted on the second half of each run.  ``threshold_ok`` needs at least
     one fitted rate, and a sign-change midpoint, if any, at or below the
     prediction.
     """
-    params = cfg.params
+    params, grid = cfg.params, cfg.grid
+    k_limit = min(grid.n_x1, grid.n_x2) // 2
+    if k_max > k_limit:
+        raise ValueError(f"k_max = {k_max} exceeds {k_limit}, the largest wavenumber "
+                         f"the {grid.n_x1}x{grid.n_x2} spatial grid holds")
     k_star = most_unstable_k(params, k_max)
     chi_star = inviscid_threshold_chi(params, k_star)
     if chi_values is None:
@@ -738,8 +744,11 @@ def run_simulate(
     finally:
         # the samples leading into a blow-up overflow; strict JSON cannot hold them
         clean = list(itertools.takewhile(record_is_finite, collector.records))
-        if clean:
+        if clean and cfg.out_dir:
             write_outputs(cfg, "observables", None, clean)
+            # an earlier run's summary would sit beside these samples; a success rewrites it
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(cfg.out_dir, "simulate.json"))
     if len(clean) < len(collector.records):
         bad = collector.records[len(clean)]
         written = f"; the {len(clean)} samples before it were written"

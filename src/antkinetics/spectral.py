@@ -27,7 +27,7 @@ is transformed on its own.  The 2/3-dealiased right-hand side uses it.
 
 from __future__ import annotations
 
-import struct
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,10 +35,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-_MAGIC = b"ANTK"
-_FORMAT_VERSION = 1
-_HEADER_BYTES = 24  # magic, then version, n_x1, n_x2, n_theta, representation flag
-_COEFFS = np.dtype("<c16")  # interleaved little-endian (re, im) float64, flag 1
+_COEFFS = np.dtype("<c16")  # interleaved little-endian (re, im) float64
 
 
 @dataclass(frozen=True)
@@ -278,56 +275,50 @@ def lp_norm_phys(values, p: float, cell_measure: float) -> float:
 # --- serialization --------------------------------------------------------------
 
 
-def _field_shape(grid: SpectralGrid, ndim: int):
-    return grid.shape_four2 if ndim == 2 else grid.shape_four3
-
-
 def write_field(path, values, grid: SpectralGrid) -> None:
-    """Serialize 2-D or 3-D Fourier coefficients (header + row-major payload).
+    """Store 2-D or 3-D Fourier coefficients as a ``.npy`` file of ``<c16``.
 
-    The payload is the coefficients as interleaved little-endian (re, im)
-    float64 pairs under representation flag 1; a 2-D spatial field is
-    marked by n_theta = 0 in the header.  A real array is refused.
+    The array must have the coefficient shape that ``grid`` implies for its
+    dimension; a real array is refused.
     """
     values = np.ascontiguousarray(values)
     if not np.iscomplexobj(values):
         raise ValueError(f"field of shape {values.shape} and dtype {values.dtype} "
                          "is not complex: only Fourier coefficients are stored")
-    expected = _field_shape(grid, values.ndim)
+    expected = grid.shape_four2 if values.ndim == 2 else grid.shape_four3
     if values.shape != expected:
         raise ValueError(f"field shape {values.shape} does not match grid {expected}")
-    n_theta = 0 if values.ndim == 2 else grid.n_theta
-    header = _MAGIC + struct.pack("<5I", _FORMAT_VERSION, grid.n_x1, grid.n_x2, n_theta, 1)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.astype(_COEFFS, copy=False).tobytes())
+        np.save(fh, values.astype(_COEFFS, copy=False), allow_pickle=False)
 
 
 def read_field(path, grid: SpectralGrid):
     """Read the coefficients that :func:`write_field` stored on ``grid``.
 
-    Validates the header length, magic, version, representation flag (1,
-    coefficients), the stored grid against ``grid`` and the payload byte
-    count; every refusal names the file.
+    Refuses, naming the file, anything but a version 1.0 ``.npy`` file of
+    C-ordered ``<c16`` in the 2-D or 3-D coefficient shape of ``grid`` and
+    exactly that many payload bytes; the header is checked before any
+    payload is allocated.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER_BYTES:
-        raise ValueError(f"{path}: header has {len(raw)} bytes, expected {_HEADER_BYTES}")
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}")
-    version, n_x1, n_x2, n_theta, rep_flag = struct.unpack("<5I", raw[4:_HEADER_BYTES])
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    if rep_flag != 1:
-        raise ValueError(f"{path}: unknown representation flag {rep_flag}")
-    if (grid.n_x1, grid.n_x2) != (n_x1, n_x2) or (n_theta and grid.n_theta != n_theta):
-        raise ValueError(
-            f"{path}: stored grid ({n_x1}, {n_x2}, {n_theta}) does not match "
-            f"({grid.n_x1}, {grid.n_x2}, {grid.n_theta})"
-        )
-    shape = _field_shape(grid, 2 if n_theta == 0 else 3)
-    payload, expected = raw[_HEADER_BYTES:], int(np.prod(shape)) * _COEFFS.itemsize
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=_COEFFS).reshape(shape).copy()
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a coefficient file: {exc}") from None
+        if dtype != _COEFFS or fortran_order:
+            raise ValueError(f"{path}: holds {dtype.str} (fortran_order {fortran_order}), "
+                             f"not C-ordered {_COEFFS.str} coefficients")
+        if len(shape) not in (2, 3):
+            raise ValueError(f"{path}: stored shape {shape} is not a coefficient shape")
+        if shape != (grid.shape_four2 if len(shape) == 2 else grid.shape_four3):
+            stored = (shape[0], 2 * (shape[1] - 1), shape[2] if len(shape) == 3 else 0)
+            raise ValueError(f"{path}: stored grid {stored} does not match "
+                             f"({grid.n_x1}, {grid.n_x2}, {grid.n_theta})")
+        values = np.empty(shape, _COEFFS)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != values.nbytes or fh.readinto(values) != payload:
+            raise ValueError(f"{path}: payload has {payload} bytes, expected {values.nbytes}")
+    return values

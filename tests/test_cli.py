@@ -4,7 +4,9 @@ import argparse
 import csv
 import json
 import re
+import struct
 
+import numpy as np
 import pytest
 
 from antkinetics import cli, dynamics
@@ -191,6 +193,8 @@ class TestErrors:
             ("growth-match --k 1 --amplitude nan",
              "amplitude must be finite and positive, got nan"),
             ("stability-sweep --chi-grid ,", "the chi grid must hold at least one chi, got []"),
+            ("stability-sweep --t-end 0.004 --k-max 9",
+             "k_max = 9 exceeds 8, the largest wavenumber the 16x16 spatial grid holds"),
             ("simulate --t-end 0.004 --init bump:nan", "l6_target must be >= 1, got nan"),
             ("growth-match --k 1 --t-end=-1", "t_end must be positive, got -1.0"),
             ("growth-match --k 1 --t-end 0", "t_end must be positive, got 0.0"),
@@ -641,6 +645,38 @@ class TestSimulate:
         assert "(16, 16, 16)" in err and "(32, 32, 32)" in err
         assert not (tmp_path / "resumed" / "checkpoint").exists()
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda ckpt: (ckpt / "f.field").write_bytes((ckpt / "c.field").read_bytes()),
+             "f.field: holds 2-D coefficients, expected 3-D"),
+            (lambda ckpt: (ckpt / "f.field").write_bytes(
+                b"ANTK" + struct.pack("<5I", 1, 16, 16, 16, 1)
+                + np.load(ckpt / "f.field").astype("<c16").tobytes()),
+             "f.field: not a coefficient file"),
+        ],
+        ids=["2-d-f-field", "antk-layout"],
+    )
+    def test_resume_from_a_damaged_field_is_refused_naming_it(
+        self, config, tmp_path, capsys, damage, message
+    ):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(
+            ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+        damage(out_dir / "checkpoint")
+        code, out, err = run_cli(
+            [
+                "simulate", "--t-end", "0.008", "--resume", str(out_dir / "checkpoint"),
+                "--config", config, "--out", str(tmp_path / "resumed"),
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {out_dir / 'checkpoint'}/{message}")
+        assert not (tmp_path / "resumed").exists()
+
     def test_resume_under_another_model_is_refused(self, config, tmp_path, capsys):
         out_dir = tmp_path / "run"
         code, _, _ = run_cli(
@@ -772,6 +808,29 @@ class TestSimulate:
         assert [json.loads(line)["t"] for line in lines] == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8])
         assert len((out_dir / "observables.csv").read_text().splitlines()) == 1 + len(lines)
         assert config_hash_of(out_dir / "manifest.txt")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_rerun_leaves_no_earlier_summary(self, config, tmp_path, capsys):
+        """A run that fails after writing its samples removes the summary an
+        earlier run left in the same ``--out``."""
+        out_dir = tmp_path / "run"
+        argv = ["simulate", "--stride", "1", "--out", str(out_dir)]
+        assert run_cli(argv + ["--t-end", "0.004", "--config", config], capsys)[0] == 0
+        assert (out_dir / "simulate.json").exists()
+        unstable = config_with(tmp_path, {"chi": "400", "dt": "0.2"})
+        code, _, err = run_cli(argv + ["--t-end", "1.0", "--config", unstable], capsys)
+        assert code == 1 and "non-finite" in err
+        assert "chi = 400" in (out_dir / "manifest.txt").read_text().splitlines()
+        assert not (out_dir / "simulate.json").exists()
+
+    def test_run_refused_before_its_first_sample_touches_nothing(self, config, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        argv = ["simulate", "--t-end", "0.004", "--config", config, "--out", str(out_dir)]
+        assert run_cli(argv, capsys)[0] == 0
+        before = {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
+        code, _, err = run_cli(argv + ["--init", "bump:abc"], capsys)
+        assert code == 1 and "bump:abc" in err
+        assert {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()} == before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_last_sample_keeps_the_samples(self, tmp_path, capsys):

@@ -253,7 +253,8 @@ def test_checkpoint_restores_non_representable_times(tmp_path, grid):
     [
         pytest.param("checkpoint.txt", lambda raw: b"", "t_hex", id="empty-manifest"),
         pytest.param("c.field", lambda raw: raw[:10], None, id="c-cut-in-header"),
-        pytest.param("f.field", lambda raw: raw[:100], None, id="f-cut-in-payload"),
+        pytest.param("f.field", lambda raw: raw[:-16], None, id="f-cut-in-payload"),
+        pytest.param("f.field", lambda raw: b"", None, id="f-empty"),
         pytest.param("checkpoint.txt", lambda raw: re.sub(rb"step = \d+", b"step = ten", raw),
                      "step", id="step-not-an-integer"),
         pytest.param("checkpoint.txt", lambda raw: raw[:raw.index(b"step =") + 5], None,

@@ -235,9 +235,16 @@ class TestDispersionAndScan:
         )
         assert serial["rows"] == threaded["rows"]
 
-    @pytest.mark.parametrize("k_max, pools", [(2, [2]), (1, [])], ids=["k_max=2", "k_max=1"])
-    def test_scan_starts_at_most_one_worker_per_wavenumber(self, monkeypatch, k_max, pools):
-        """The fork start method launches every worker at the first submit."""
+    @pytest.mark.parametrize(
+        "k_max, cpus, pools",
+        [(2, 8, [2]), (1, 8, []), (3, 2, [2]), (3, None, [])],
+        ids=["k_max=2", "k_max=1", "cpus=2", "cpus=unknown"],
+    )
+    def test_scan_starts_at_most_one_worker_per_wavenumber(
+        self, monkeypatch, k_max, cpus, pools
+    ):
+        """The fork start method launches every worker at the first submit, so
+        no more start than there are wavenumbers or CPUs."""
         started = []
 
         class SerialPool:
@@ -254,6 +261,7 @@ class TestDispersionAndScan:
                 return map(fn, jobs)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         cfg = build_config(mapping(chi="4.0", threads="8"), ExperimentKind.DISPERSION_MAP)
         result = run_instability_scan(cfg, k_max=k_max, n_modes=24)
         assert [row["k"] for row in result["rows"]] == list(range(1, k_max + 1))
@@ -325,6 +333,15 @@ class TestStabilitySweep:
         assert result["threshold_ok"]
         assert (tmp_path / "stability_sweep.csv").exists()
         assert (tmp_path / "stability_sweep.json").exists()
+
+    def test_k_max_is_at_most_half_the_spatial_grid(self):
+        cfg = build_config(mapping(n_x1="8", n_x2="8", n_theta="8"),
+                           ExperimentKind.STABILITY_SWEEP)
+        result = run_stability_sweep(cfg, chi_values=[0.0], k_max=4, t_end=0.004)
+        assert 1 <= result["most_unstable_k"] <= 4
+        with pytest.raises(ValueError, match="k_max = 5 exceeds 4, the largest wavenumber "
+                                             "the 8x8 spatial grid holds"):
+            run_stability_sweep(cfg, chi_values=[0.0], k_max=5, t_end=0.004)
 
     @staticmethod
     def capture_collectors(monkeypatch):

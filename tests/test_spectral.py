@@ -282,22 +282,41 @@ class TestSerialization:
         assert back.shape == grid.shape_four2
         assert np.array_equal(back, values)
 
-    def test_version_1_layout(self, grid, tmp_path):
-        """Magic, five little-endian uint32 (version, n_x1, n_x2, n_theta or 0
-        for 2-D, representation 1 for Fourier coefficients), then the payload."""
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_field_is_a_npy_file_of_c16(self, grid, tmp_path, ndim):
+        """A written field is a ``.npy`` file that numpy reads back bit-exact."""
         rng = np.random.default_rng(7)
-        c_hat = fft2(rng.standard_normal(grid.shape_phys2))
+        shape = grid.shape_phys2 if ndim == 2 else grid.shape_phys3
+        values = (fft2 if ndim == 2 else fft3)(rng.standard_normal(shape))
         path = tmp_path / "c.field"
-        write_field(path, c_hat, grid)
-        header = b"ANTK" + struct.pack("<5I", 1, grid.n_x1, grid.n_x2, 0, 1)
-        assert path.read_bytes() == header + c_hat.astype("<c16").tobytes()
+        write_field(path, values, grid)
+        stored = np.load(path, allow_pickle=False)
+        assert stored.dtype.str == "<c16"
+        assert stored.shape == (grid.shape_four2 if ndim == 2 else grid.shape_four3)
+        assert stored.tobytes() == values.tobytes()
+
+    def test_antk_layout_is_refused_naming_the_file(self, grid, tmp_path):
+        """The earlier header (magic, five uint32, then the payload) is not read."""
+        path = tmp_path / "f.field"
+        header = b"ANTK" + struct.pack("<5I", 1, grid.n_x1, grid.n_x2, grid.n_theta, 1)
+        path.write_bytes(header + np.zeros(grid.shape_four3).astype("<c16").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a coefficient file")):
+            read_field(path, grid)
 
     def test_physical_file_is_refused_naming_the_file(self, grid, tmp_path):
-        """A representation-0 (physical float64) file is not a coefficient file."""
+        """A float64 ``.npy`` file is not a coefficient file."""
         path = tmp_path / "f.field"
-        header = b"ANTK" + struct.pack("<5I", 1, grid.n_x1, grid.n_x2, grid.n_theta, 0)
-        path.write_bytes(header + np.zeros(grid.shape_phys3).astype("<f8").tobytes())
-        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown representation flag 0")):
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(grid.shape_four3))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: holds <f8")):
+            read_field(path, grid)
+
+    def test_huge_stored_shape_is_refused_before_allocating(self, grid, tmp_path):
+        path = tmp_path / "f.field"
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<c16", "fortran_order": False, "shape": (10**12,)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stored shape (1000000000000,)")):
             read_field(path, grid)
 
     def test_bad_magic_rejected(self, grid, tmp_path):
@@ -324,9 +343,8 @@ class TestSerialization:
 
     def test_bad_stored_grid_is_refused_naming_the_file(self, grid, tmp_path):
         path = tmp_path / "f.field"
-        write_field(path, np.zeros(grid.shape_four3, dtype=complex), grid)
-        data = bytearray(path.read_bytes())
-        data[8:12] = struct.pack("<I", 7)  # the n_x1 word
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: stored grid (7, ")):
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros((7, *grid.shape_four3[1:]), dtype=complex))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: stored grid (7, 12, 16) "
+                                                       "does not match (16, 12, 16)")):
             read_field(path, grid)

@@ -14,7 +14,10 @@ differs between the two:
   Dealiasing and the cost split differ by grid size, so 16^3 alone is not
   enough.
 - *Command line.*  The exit code, stdout, and the sha256 of every output
-  file of each command, every subcommand included, all on a 16^3 config:
+  file of each command, every subcommand included, all on a 16^3 config.
+  For each ``*.field`` file also the sha256 of its coefficients as that
+  checkout's own ``spectral.read_field`` decodes them, so a change of file
+  format that keeps the numbers differs only in the files' byte hashes:
   - ``simulate --stride 1 --checkpoint-every 5`` from random, homogeneous
     and ``bump:1.2`` starts at tau in {0, 0.5} (elliptic, ETDRK2), and from
     the random start on a parabolic IMEX config at tau = 0.5, so that an
@@ -120,6 +123,7 @@ def _states(out: dict) -> None:
 
 def _cli(out: dict, work: str) -> None:
     from antkinetics import cli
+    from antkinetics.spectral import SpectralGrid, read_field
 
     def call(name, argv, out_dir):
         stdout = io.StringIO()
@@ -130,8 +134,12 @@ def _cli(out: dict, work: str) -> None:
         for root, _, files in os.walk(out_dir):
             for file in files:
                 path = os.path.join(root, file)
+                key = f"{name}: {os.path.relpath(path, out_dir)}"
                 with open(path, "rb") as fh:
-                    out[f"{name}: {os.path.relpath(path, out_dir)}"] = _sha(fh.read())
+                    out[key] = _sha(fh.read())
+                if file.endswith(".field"):
+                    coeffs = read_field(path, SpectralGrid(16, 16, 16))
+                    out[f"{key} coefficients"] = _sha(coeffs.tobytes())
 
     def config_file(tau, coupling, sigma_theta="0.25", scheme=None, dt="2e-3", chi="4.0"):
         # the scheme key is written only when given, so the older cases keep their text
