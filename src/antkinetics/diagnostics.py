@@ -14,6 +14,9 @@ and the sample's three balance terms (int f^2, the dissipation sum and the
 turning integral), which its record carries but does not write.  A sample's
 residual combines its own terms with its neighbours' energies, so the
 collector back-fills it once the next sample is taken and keeps no state.
+The fixed Parseval weights of the norms, and the waves and multipliers of
+the turning bias, come from the grid, which builds each once, on its first
+sample.
 """
 
 from __future__ import annotations
@@ -131,7 +134,6 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
     n_xy = grid.n_x1 * grid.n_x2
     w3 = grid.half_weights[None, :, None]
-    w2 = grid.half_weights[None, :]
 
     f_hat = state.f_hat
     f_phys = state.f_physical()
@@ -145,7 +147,7 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
         max(TWO_PI * (power_sum - float(power[0, 0, 0]) + zero_dev), 0.0)
     ) / n_tot
 
-    sobolev = float(np.sum(w3 * (1.0 + grid.ksq_3d + grid.nsq_3d) * sq))
+    sobolev = float(np.sum(grid.sobolev_weights3 * sq))
     h1 = math.sqrt(TWO_PI * sobolev) / n_tot
 
     rho = ifft2(marginal_hat(f_hat, grid), grid)
@@ -154,8 +156,9 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
     }
 
     c_hat = state.c_hat
-    grad_c = math.sqrt(float(np.sum(w2 * grid.ksq_2d * np.abs(c_hat) ** 2))) / n_xy
-    hess_c = math.sqrt(float(np.sum(w2 * grid.ksq_2d**2 * np.abs(c_hat) ** 2))) / n_xy
+    c_sq = np.abs(c_hat) ** 2
+    grad_c = math.sqrt(float(np.sum(grid.gradient_weights2 * c_sq))) / n_xy
+    hess_c = math.sqrt(float(np.sum(grid.hessian_weights2 * c_sq))) / n_xy
 
     # the residual is a sum of nearly cancelling terms: keep the operand order
     f_sq = TWO_PI * power_sum / n_tot**2

@@ -207,10 +207,11 @@ class Stepper:
     def explicit_rhs(self, f_phys, c_hat, out=None):
         grid, params = self.grid, self.params
         rhs = np.empty(grid.shape_four3, dtype=complex) if out is None else out
-        rhs.fill(0.0)
         max_abs_b = 0.0
         if params.lam != 0.0:
-            rhs -= self.drift(f_phys, out=self._t1)
+            np.subtract(0.0, self.drift(f_phys, out=self._t1), out=rhs)
+        else:
+            rhs.fill(0.0)
         if params.chi != 0.0:
             parts = turning_bias_parts(c_hat, grid, params.tau)
             bias = expand_bias(parts, grid, out=self._bias, work=self._prod)

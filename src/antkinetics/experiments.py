@@ -428,10 +428,20 @@ def _scan_row(args):
     return row
 
 
-def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -> dict:
-    """Margins, roots, and truncated-operator eigenvalues for k = 1..k_max."""
+def _check_k_max(k_max: int, grid: SpectralGrid) -> None:
+    """Refuse k_max below 1 or above half the smaller spatial grid size."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_limit = min(grid.n_x1, grid.n_x2) // 2
+    if k_max > k_limit:
+        raise ValueError(f"k_max = {k_max} exceeds {k_limit}, the largest wavenumber "
+                         f"the {grid.n_x1}x{grid.n_x2} spatial grid holds")
+
+
+def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -> dict:
+    """Margins, roots, and truncated-operator eigenvalues for k = 1..k_max;
+    ``k_max`` is refused above half the smaller spatial grid size."""
+    _check_k_max(k_max, cfg.grid)
     n_modes = check_n_modes(n_modes)
     jobs = [(cfg.params, k, n_modes) for k in range(1, k_max + 1)]
     # the fork start method launches every worker at the first submit
@@ -616,11 +626,8 @@ def run_stability_sweep(
     one fitted rate, and a sign-change midpoint, if any, at or below the
     prediction.
     """
-    params, grid = cfg.params, cfg.grid
-    k_limit = min(grid.n_x1, grid.n_x2) // 2
-    if k_max > k_limit:
-        raise ValueError(f"k_max = {k_max} exceeds {k_limit}, the largest wavenumber "
-                         f"the {grid.n_x1}x{grid.n_x2} spatial grid holds")
+    params = cfg.params
+    _check_k_max(k_max, cfg.grid)
     k_star = most_unstable_k(params, k_max)
     chi_star = inviscid_threshold_chi(params, k_star)
     if chi_values is None:

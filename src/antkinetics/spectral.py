@@ -23,10 +23,15 @@ inverse, the c2c passes unscaled, c2r along x2, then a single 1/N scale.
 m2 <= K: the r2c pass runs in full and the c2c passes only on those
 columns, which then carry the full transform's bits, since each 1-D line
 is transformed on its own.  The 2/3-dealiased right-hand side uses it.
+The same holds for a leading batch axis: :func:`turning_bias_parts` inverts
+its two or five spatial fields in one c2c and one c2r pass over a stack,
+with each field's own 1/(n_x1 n_x2) scale, and gets the bits of one
+:func:`ifft2` per field.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,6 +169,34 @@ class SpectralGrid:
     def sin_theta(self):
         return np.sin(self.theta)
 
+    # the turning bias: its four angular waves, and the multipliers of the
+    # gradient (g1, g2) and the Hessian (c11, c12, c22), stacked as complex
+    @cached_property
+    def bias_waves(self):
+        th = self.theta
+        waves = (-np.sin(th), np.cos(th), np.sin(2.0 * th), np.cos(2.0 * th))
+        return tuple(wave[None, None, :] for wave in waves)
+
+    @cached_property
+    def bias_multipliers(self):
+        m1 = (2.0 * np.pi * self.m1.astype(np.float64))[:, None]
+        m2 = (2.0 * np.pi * self.m2.astype(np.float64))[None, :]
+        multipliers = (self.ik1_2d, self.ik2_2d, -(m1 * m1), -(m1 * m2), -(m2 * m2))
+        return np.stack(np.broadcast_arrays(*multipliers))
+
+    # Parseval weights of the observables: H^1 of f, |grad c|^2 and |Hess c|^2
+    @cached_property
+    def sobolev_weights3(self):
+        return self.half_weights[None, :, None] * (1.0 + self.ksq_3d + self.nsq_3d)
+
+    @cached_property
+    def gradient_weights2(self):
+        return self.half_weights[None, :] * self.ksq_2d
+
+    @cached_property
+    def hessian_weights2(self):
+        return self.half_weights[None, :] * self.ksq_2d**2
+
     @cached_property
     def dealias_mask3(self):
         keep1 = np.abs(self.m1) <= self.n_x1 // 3
@@ -183,11 +216,12 @@ def _forward(values, c2c_axes, out=None, keep=None):
     return out
 
 
-def _inverse(coeffs, n_x2, c2c_axes, out=None, work=None):
+def _inverse(coeffs, n_x2, c2c_axes, out=None, work=None, half_axis=1):
+    # any axis that is neither c2c nor the half axis is a batch of fields
     for axis in c2c_axes:
         coeffs = work = np.fft.ifft(coeffs, axis=axis, norm="forward", out=work)
-    out = np.fft.irfft(coeffs, n=n_x2, axis=1, norm="forward", out=out)
-    out *= 1.0 / out.size
+    out = np.fft.irfft(coeffs, n=n_x2, axis=half_axis, norm="forward", out=out)
+    out *= 1.0 / math.prod(out.shape[axis] for axis in (half_axis, *c2c_axes))
     return out
 
 
@@ -226,17 +260,19 @@ def turning_bias_parts(c_hat, grid: SpectralGrid, tau: float):
     coefficients ``c_hat``.  Only angular modes +-1 and +-2 ever appear.
     The gradient zeroes the Nyquist row; the Hessian multipliers are real,
     so they keep the full Nyquist values and c12 == c21 exactly.  Returns
-    ``(g1, g2)`` at tau = 0, where s and r vanish, else ``(g1, g2, s, r)``.
+    ``(g1, g2)`` at tau = 0, where s and r vanish, else ``(g1, g2, s, r)``;
+    g1 and g2 are views of one array, which the caller must not write.
+
+    The multiplied coefficients are stacked and inverted in one batched
+    pass.  numpy transforms each 1-D line on its own and each field keeps
+    its own 1/(n_x1 n_x2) scale, so every part has the bits of one
+    :func:`ifft2` per field.
     """
-    g1 = ifft2(grid.ik1_2d * c_hat, grid)
-    g2 = ifft2(grid.ik2_2d * c_hat, grid)
+    multipliers = grid.bias_multipliers[:2] if tau == 0.0 else grid.bias_multipliers
+    fields = _inverse(multipliers * c_hat, grid.n_x2, (1,), half_axis=2)
     if tau == 0.0:
-        return g1, g2
-    m1 = (2.0 * np.pi * grid.m1.astype(np.float64))[:, None]
-    m2 = (2.0 * np.pi * grid.m2.astype(np.float64))[None, :]
-    c11 = ifft2(-(m1 * m1) * c_hat, grid)
-    c12 = ifft2(-(m1 * m2) * c_hat, grid)
-    c22 = ifft2(-(m2 * m2) * c_hat, grid)
+        return fields[0], fields[1]
+    g1, g2, c11, c12, c22 = fields
     return g1, g2, 0.5 * tau * (c22 - c11), tau * c12
 
 
@@ -249,11 +285,10 @@ def expand_bias(parts, grid: SpectralGrid, out=None, work=None):
     two parts ``(a, b)`` stand for s = r = 0.  The terms are summed left to
     right, into ``out`` when given, each formed in ``work`` when given.
     """
-    th = grid.theta
-    waves = (np.cos(th), np.sin(2.0 * th), np.cos(2.0 * th))
-    out = np.multiply(-np.sin(th)[None, None, :], parts[0][:, :, None], out=out)
-    for wave, part in zip(waves, parts[1:]):
-        out += np.multiply(wave[None, None, :], part[:, :, None], out=work)
+    waves = grid.bias_waves
+    out = np.multiply(waves[0], parts[0][:, :, None], out=out)
+    for wave, part in zip(waves[1:], parts[1:]):
+        out += np.multiply(wave, part[:, :, None], out=work)
     return out
 
 

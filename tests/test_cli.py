@@ -195,6 +195,13 @@ class TestErrors:
             ("stability-sweep --chi-grid ,", "the chi grid must hold at least one chi, got []"),
             ("stability-sweep --t-end 0.004 --k-max 9",
              "k_max = 9 exceeds 8, the largest wavenumber the 16x16 spatial grid holds"),
+            # scan refuses the same k_max before it builds a single job
+            ("scan --k-max 9 --n-modes 8",
+             "k_max = 9 exceeds 8, the largest wavenumber the 16x16 spatial grid holds"),
+            ("scan --k-max 1000000000 --n-modes 8",
+             "k_max = 1000000000 exceeds 8, the largest wavenumber the 16x16 spatial grid holds"),
+            ("n_x1=8 n_x2=8 n_theta=8 scan --n-modes 8",
+             "k_max = 8 exceeds 4, the largest wavenumber the 8x8 spatial grid holds"),
             ("simulate --t-end 0.004 --init bump:nan", "l6_target must be >= 1, got nan"),
             ("growth-match --k 1 --t-end=-1", "t_end must be positive, got -1.0"),
             ("growth-match --k 1 --t-end 0", "t_end must be positive, got 0.0"),

@@ -11,7 +11,9 @@ import scipy.signal
 
 from antkinetics.diagnostics import (
     _TRAIL_PROMINENCE,
+    LP_ORDERS,
     ObservableCollector,
+    ObservableRecord,
     _prominent_peaks,
     compute_observables,
     count_trails,
@@ -22,9 +24,16 @@ from antkinetics.diagnostics import (
     write_ndjson,
     write_records_csv,
 )
-from antkinetics.dynamics import StepperConfig, homogeneous_state, run, state_from_density
+from antkinetics.dynamics import (
+    StepperConfig,
+    homogeneous_state,
+    marginal_hat,
+    run,
+    state_from_density,
+)
+from antkinetics.experiments import random_band_limited_state
 from antkinetics.params import ModelParams
-from antkinetics.spectral import SpectralGrid, fft3
+from antkinetics.spectral import SpectralGrid, fft3, ifft2, lp_norm_phys
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,6 +221,87 @@ class TestComputeObservables:
         rec = compute_observables(state_from_density(grid, p, f, c_values=c), p)
         assert abs(rec.grad_c_l2 - math.pi * math.sqrt(2.0)) < 1e-12
         assert abs(rec.hess_c_l2 - 2.0 * math.sqrt(2.0) * math.pi**2) < 1e-10
+
+
+def reference_observables(state, p):
+    """compute_observables with every weight, wave and multiplier built per
+    call and one ifft2 per bias part; each expression in its operand order."""
+    grid = state.grid
+    n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
+    n_xy = grid.n_x1 * grid.n_x2
+    w3 = grid.half_weights[None, :, None]
+    w2 = grid.half_weights[None, :]
+    f_hat, c_hat = state.f_hat, state.c_hat
+    f_phys = state.f_physical()
+
+    sq = np.abs(f_hat) ** 2
+    power = w3 * sq
+    power_sum = float(np.sum(power))
+    zero_dev = abs(f_hat[0, 0, 0] - n_tot / TWO_PI) ** 2
+    l2_dev = math.sqrt(
+        max(TWO_PI * (power_sum - float(power[0, 0, 0]) + zero_dev), 0.0)) / n_tot
+    sobolev = float(np.sum(w3 * (1.0 + grid.ksq_3d + grid.nsq_3d) * sq))
+    rho = ifft2(marginal_hat(f_hat, grid), grid)
+    grad_c = math.sqrt(float(np.sum(w2 * grid.ksq_2d * np.abs(c_hat) ** 2))) / n_xy
+    hess_c = math.sqrt(float(np.sum(w2 * grid.ksq_2d**2 * np.abs(c_hat) ** 2))) / n_xy
+
+    f_sq = TWO_PI * power_sum / n_tot**2
+    damping = p.sigma_x * grid.ksq_3d + p.sigma_theta * grid.nsq_3d
+    dissip = TWO_PI * float(np.sum(w3 * damping * sq)) / n_tot**2
+    turning = 0.0
+    if p.chi != 0.0:
+        g1 = ifft2(grid.ik1_2d * c_hat, grid)
+        g2 = ifft2(grid.ik2_2d * c_hat, grid)
+        th = grid.theta[None, None, :]
+        db = -np.sin(th) * g2[:, :, None]
+        db += np.cos(th) * (-g1)[:, :, None]
+        if p.tau != 0.0:
+            m1 = (2.0 * np.pi * grid.m1.astype(np.float64))[:, None]
+            m2 = (2.0 * np.pi * grid.m2.astype(np.float64))[None, :]
+            c11 = ifft2(-(m1 * m1) * c_hat, grid)
+            c12 = ifft2(-(m1 * m2) * c_hat, grid)
+            c22 = ifft2(-(m2 * m2) * c_hat, grid)
+            s, r = 0.5 * p.tau * (c22 - c11), p.tau * c12
+            db += np.sin(2.0 * th) * (-2.0 * r)[:, :, None]
+            db += np.cos(2.0 * th) * (2.0 * s)[:, :, None]
+        turning = 0.5 * p.chi * float(np.sum(f_phys * f_phys * db)) * grid.cell_volume
+
+    return ObservableRecord(
+        t=state.t,
+        mass=state.mass(),
+        min_f=float(np.min(f_phys)),
+        l2_f_dev=l2_dev,
+        lp_rho={order: lp_norm_phys(rho, float(order), grid.cell_area) for order in LP_ORDERS},
+        h1_f=math.sqrt(TWO_PI * sobolev) / n_tot,
+        grad_c_l2=grad_c,
+        hess_c_l2=hess_c,
+        dissipation_residual=None,
+        dominant_k=dominant_wavenumber(power, grid),
+        trail_count=count_trails(rho, grid),
+        balance_terms=(f_sq, dissip, turning),
+    )
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (16, 24, 32)])
+@pytest.mark.parametrize("coupling", ["elliptic", "parabolic"])
+@pytest.mark.parametrize("chi", [0.0, 4.0])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_observables_have_the_bits_of_the_per_call_expressions(shape, coupling, chi, tau):
+    """The grid's cached weights, waves and multipliers, and the batched bias
+    parts, leave every written value and the balance terms unchanged."""
+    grid = SpectralGrid(*shape)
+    p = params(chi=chi, tau=tau, coupling=coupling)
+    rng = np.random.default_rng(5)
+    state = random_band_limited_state(grid, p, rng, 4, 0.1)
+    if coupling == "parabolic":
+        # a chemical field of its own, not slaved to the density
+        state = state_from_density(grid, p, state.f_physical(),
+                                   c_values=rng.standard_normal(grid.shape_phys2))
+    record = compute_observables(state, p)
+    expect = reference_observables(state, p)
+    assert record_to_dict(record) == record_to_dict(expect)
+    assert record.balance_terms == expect.balance_terms
+    assert (record.balance_terms[2] != 0.0) == (chi != 0.0)
 
 
 class TestFitExponentialRate:

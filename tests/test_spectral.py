@@ -137,6 +137,53 @@ def test_expand_bias_into_buffers_is_bit_exact(grid, n_parts):
     assert np.array_equal(out, expand_bias(parts, grid))
 
 
+def reference_bias_parts(c_hat, grid, tau):
+    """turning_bias_parts as one ifft2 per field, with its multipliers built per call."""
+    g1 = ifft2(grid.ik1_2d * c_hat, grid)
+    g2 = ifft2(grid.ik2_2d * c_hat, grid)
+    if tau == 0.0:
+        return g1, g2
+    m1 = (2.0 * np.pi * grid.m1.astype(np.float64))[:, None]
+    m2 = (2.0 * np.pi * grid.m2.astype(np.float64))[None, :]
+    c11 = ifft2(-(m1 * m1) * c_hat, grid)
+    c12 = ifft2(-(m1 * m2) * c_hat, grid)
+    c22 = ifft2(-(m2 * m2) * c_hat, grid)
+    return g1, g2, 0.5 * tau * (c22 - c11), tau * c12
+
+
+def reference_expand_bias(parts, grid):
+    """expand_bias with its angular waves built per call."""
+    th = grid.theta
+    waves = (np.cos(th), np.sin(2.0 * th), np.cos(2.0 * th))
+    out = -np.sin(th)[None, None, :] * parts[0][:, :, None]
+    for wave, part in zip(waves, parts[1:]):
+        out += wave[None, None, :] * part[:, :, None]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16), (16, 24, 32)])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_batched_bias_parts_have_the_bits_of_one_ifft2_per_field(shape, tau):
+    """The one batched inverse gives each part, and the bias and its
+    rotated expansion, the bits of the per-field transforms."""
+    grid = SpectralGrid(*shape)
+    rng = np.random.default_rng(9)
+    real_hat = fft2(rng.standard_normal(grid.shape_phys2))
+    arbitrary = rng.standard_normal(grid.shape_four2) + 1j * rng.standard_normal(grid.shape_four2)
+    for c_hat in (real_hat, arbitrary):
+        parts = turning_bias_parts(c_hat, grid, tau)
+        expect = reference_bias_parts(c_hat, grid, tau)
+        assert len(parts) == len(expect) == (2 if tau == 0.0 else 4)
+        for got, want in zip(parts, expect):
+            assert got.shape == grid.shape_phys2
+            assert got.tobytes() == want.tobytes()
+        g1, g2, *sr = parts
+        rotated = (g2, -g1, -2.0 * sr[1], 2.0 * sr[0]) if sr else (g2, -g1)
+        for expansion in (parts, rotated):
+            assert (expand_bias(expansion, grid).tobytes()
+                    == reference_expand_bias(expansion, grid).tobytes())
+
+
 def test_gradient_matches_analytic(grid):
     """Spectral x-derivatives are exact on resolved trigonometric data."""
     x1 = grid.x1[:, None]

@@ -8,11 +8,14 @@ differs between the two:
 
 - *States.*  The sha256 of f_hat, c_hat and the physical f after a
   20-step ``dynamics.run`` from random, homogeneous and x1-only starts, and
-  the run's ``cfl_flagged`` and ``positivity_flagged``.  At 16^3 and 32^3
-  this covers both couplings, both schemes and tau in {0, 0.5}; at 64^3,
-  ETDRK2 from the random and x1-only starts, both couplings and both tau.
-  Dealiasing and the cost split differ by grid size, so 16^3 alone is not
-  enough.
+  the run's ``cfl_flagged`` and ``positivity_flagged``.  For each final
+  state also what an observation of it computes: the sha256 of every
+  ``spectral.turning_bias_parts(c_hat)`` array and the ``repr`` of the
+  ``diagnostics.compute_observables`` record, its balance terms included.
+  At 16^3 and 32^3 this covers both couplings, both schemes and tau in
+  {0, 0.5}; at 64^3 and on the non-cubic (16, 24, 32) grid, ETDRK2 from
+  the random and x1-only starts, both couplings and both tau.  Dealiasing
+  and the cost split differ by grid size, so 16^3 alone is not enough.
 - *Command line.*  The exit code, stdout, and the sha256 of every output
   file of each command, every subcommand included, all on a 16^3 config.
   For each ``*.field`` file also the sha256 of its coefficients as that
@@ -83,12 +86,13 @@ def _sha(data: bytes) -> str:
 
 def _state_cases():
     """(name, shape, coupling, scheme, tau, start) for the state matrix."""
-    for shape in ((16, 16, 16), (32, 32, 32), (64, 64, 64)):
+    for shape in ((16, 16, 16), (32, 32, 32), (64, 64, 64), (16, 24, 32)):
         for coupling in ("elliptic", "parabolic"):
             for scheme in ("imex_euler", "etdrk2"):
                 for tau in (0.0, 0.5):
                     for start in ("random", "homogeneous", "x1"):
-                        if shape[0] == 64 and (scheme != "etdrk2" or start == "homogeneous"):
+                        reduced = shape in ((64, 64, 64), (16, 24, 32))
+                        if reduced and (scheme != "etdrk2" or start == "homogeneous"):
                             continue
                         name = "x".join(map(str, shape)) + f" {coupling} {scheme} tau={tau} {start}"
                         yield name, shape, coupling, scheme, tau, start
@@ -97,10 +101,11 @@ def _state_cases():
 def _states(out: dict) -> None:
     import numpy as np
 
+    from antkinetics.diagnostics import compute_observables
     from antkinetics.dynamics import StepperConfig, homogeneous_state, run, state_from_density
     from antkinetics.experiments import random_band_limited_state
     from antkinetics.params import Coupling, ModelParams
-    from antkinetics.spectral import SpectralGrid
+    from antkinetics.spectral import SpectralGrid, turning_bias_parts
 
     for name, shape, coupling, scheme, tau, start in _state_cases():
         grid = SpectralGrid(*shape)
@@ -119,6 +124,9 @@ def _states(out: dict) -> None:
         out[f"state {name}: f"] = _sha(state.f_physical().tobytes())
         out[f"state {name}: cfl_flagged"] = str(result.cfl_flagged)
         out[f"state {name}: positivity_flagged"] = str(result.positivity_flagged)
+        for i, part in enumerate(turning_bias_parts(state.c_hat, grid, tau)):
+            out[f"state {name}: bias part {i}"] = _sha(part.tobytes())
+        out[f"state {name}: observables"] = repr(compute_observables(state, params))
 
 
 def _cli(out: dict, work: str) -> None:
