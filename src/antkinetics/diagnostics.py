@@ -17,6 +17,10 @@ collector back-fills it once the next sample is taken and keeps no state.
 The fixed Parseval weights of the norms, and the waves and multipliers of
 the turning bias, come from the grid, which builds each once, on its first
 sample.
+
+The record's first four fields (t, the mass, min f and the L^2 deviation)
+come from :func:`deviation_sample`, which an ensemble member calls alone:
+its summary reads nothing else, so it pays for no other observable.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import takewhile
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PhaseState, marginal_hat
+from .dynamics import PhaseState, dissipation_rates, marginal_hat
 from .params import ModelParams
 from .spectral import expand_bias, fft2, ifft2, lp_norm_phys, turning_bias_parts
 
@@ -39,6 +44,15 @@ LP_ORDERS = (1, 2, 6)
 
 # a trail is a maximum whose prominence reaches this share of the profile range
 _TRAIL_PROMINENCE = 0.05
+
+
+class Sample(NamedTuple):
+    """The leading fields of :class:`ObservableRecord`, with the same bits."""
+
+    t: float
+    mass: float
+    min_f: float
+    l2_f_dev: float
 
 
 @dataclass
@@ -129,6 +143,28 @@ def _prominent_peaks(x: list, h: float) -> int:
     return count
 
 
+def deviation_sample(state: PhaseState):
+    """The state's :class:`Sample`, and the spectra its deviation is summed from.
+
+    Returns ``(sample, sq, power, power_sum)``: |f_hat|^2, its half-axis
+    weighted form and that form's sum, which :func:`compute_observables`
+    reads again.  The deviation is the L^2 norm of f - 1/2pi by Parseval,
+    with the zero mode's term replaced by its distance from the uniform one.
+    """
+    grid = state.grid
+    n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
+    f_hat = state.f_hat
+    sq = np.abs(f_hat) ** 2
+    power = grid.half_weights[None, :, None] * sq
+    power_sum = float(np.sum(power))
+    zero_dev = abs(f_hat[0, 0, 0] - n_tot / TWO_PI) ** 2
+    l2_dev = math.sqrt(
+        max(TWO_PI * (power_sum - float(power[0, 0, 0]) + zero_dev), 0.0)
+    ) / n_tot
+    sample = Sample(state.t, state.mass(), float(np.min(state.f_physical())), l2_dev)
+    return sample, sq, power, power_sum
+
+
 def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRecord:
     grid = state.grid
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
@@ -137,15 +173,7 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
 
     f_hat = state.f_hat
     f_phys = state.f_physical()
-    mass = state.mass()
-
-    sq = np.abs(f_hat) ** 2
-    power = w3 * sq
-    power_sum = float(np.sum(power))
-    zero_dev = abs(f_hat[0, 0, 0] - n_tot / TWO_PI) ** 2
-    l2_dev = math.sqrt(
-        max(TWO_PI * (power_sum - float(power[0, 0, 0]) + zero_dev), 0.0)
-    ) / n_tot
+    sample, sq, power, power_sum = deviation_sample(state)
 
     sobolev = float(np.sum(grid.sobolev_weights3 * sq))
     h1 = math.sqrt(TWO_PI * sobolev) / n_tot
@@ -162,8 +190,7 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
 
     # the residual is a sum of nearly cancelling terms: keep the operand order
     f_sq = TWO_PI * power_sum / n_tot**2
-    damping = params.sigma_x * grid.ksq_3d + params.sigma_theta * grid.nsq_3d
-    dissip = TWO_PI * float(np.sum(w3 * damping * sq)) / n_tot**2
+    dissip = TWO_PI * float(np.sum(w3 * dissipation_rates(grid, params) * sq)) / n_tot**2
     turning = 0.0
     if params.chi != 0.0:
         # d_theta B is the bias expansion of the rotated parts
@@ -173,10 +200,7 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
         turning = 0.5 * params.chi * float(np.sum(f_phys * f_phys * db)) * grid.cell_volume
 
     return ObservableRecord(
-        t=state.t,
-        mass=mass,
-        min_f=float(np.min(f_phys)),
-        l2_f_dev=l2_dev,
+        **sample._asdict(),
         lp_rho=lp,
         h1_f=h1,
         grad_c_l2=grad_c,

@@ -112,6 +112,12 @@ def chemical_multipliers(grid: SpectralGrid, params: ModelParams, dt: float = ma
     return np.exp(-nu * dt), -np.expm1(-nu * dt) / nu
 
 
+def dissipation_rates(grid: SpectralGrid, params: ModelParams) -> np.ndarray:
+    """sigma_x |k|^2 + sigma_theta n^2, the decay rate of each 3-D coefficient
+    under the diffusive part."""
+    return params.sigma_x * grid.ksq_3d + params.sigma_theta * grid.nsq_3d
+
+
 # --- stepper -----------------------------------------------------------------------
 
 
@@ -160,7 +166,7 @@ class Stepper:
         self.params = params
         self.cfg = cfg
         dt = cfg.dt
-        nu_f = params.sigma_x * grid.ksq_3d + params.sigma_theta * grid.nsq_3d
+        nu_f = dissipation_rates(grid, params)
         self.decay_f = np.exp(-nu_f * dt)
         if cfg.scheme is Scheme.ETDRK2:
             phi1, phi2 = _phi12(-nu_f * dt)
@@ -173,8 +179,9 @@ class Stepper:
         self.mask = grid.dealias_mask3
         # the mask drops m2 > n_x2 // 3, so the forward transforms skip them
         self.keep = grid.n_x2 // 3
-        self.cos3 = grid.cos_theta[None, None, :]
-        self.sin3 = grid.sin_theta[None, None, :]
+        # the drift's waves are the bias's first two; negating -sin theta is exact
+        minus_sin, self.cos3 = grid.bias_waves[:2]
+        self.sin3 = -minus_sin
         self.chi_in = params.chi * grid.in_3d
         self.dx_min = min(1.0 / grid.n_x1, 1.0 / grid.n_x2)
         self.dtheta = TWO_PI / grid.n_theta

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     ObservableCollector,
+    deviation_sample,
     fit_exponential_rate,
     record_is_finite,
     write_ndjson,
@@ -447,6 +447,9 @@ def run_instability_scan(cfg: ExperimentConfig, k_max: int, n_modes: int = 64) -
     # the fork start method launches every worker at the first submit
     workers = min(cfg.threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: a serial scan never pays for the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, jobs))
     else:
@@ -480,37 +483,39 @@ class _StopMember(Exception):
 def _run_member(state, stepper, params, t_end, stride, fit_from, stop=None):
     """Run one member from ``state``, sampled every ``stride`` steps, and summarise it.
 
-    ``stop(records)``, when given, is asked after every sample and ends the
-    run when true.  A blow-up (``RuntimeError``) ends it too, keeping the
-    samples from before it.  Returns ``(t_stop, error, mass_err, min_f,
-    fit)``: ``error`` is the blow-up's message or "", and ``fit`` is the
-    deviation's :func:`fit_exponential_rate` over ``(fit_from * t_stop,
-    t_stop)`` or, when that fails, its message.
+    Each sample is the :class:`~antkinetics.diagnostics.Sample` of
+    :func:`~antkinetics.diagnostics.deviation_sample` (t, the mass, min f
+    and the deviation), the only numbers the summary reads; no other
+    observable is computed.  ``stop(samples)``, when given, is asked after
+    every sample and ends the run when true.  A blow-up (``RuntimeError``)
+    ends it too, keeping the samples from before it.  Returns ``(t_stop,
+    error, mass_err, min_f, fit)``: ``error`` is the blow-up's message or
+    "", and ``fit`` is the deviation's :func:`fit_exponential_rate` over
+    ``(fit_from * t_stop, t_stop)`` or, when that fails, its message.
     """
-    collector = ObservableCollector(params)
+    samples = []
 
-    def check(_state):
-        if stop(collector.records):
+    def observe(current):
+        samples.append(deviation_sample(current)[0])
+        if stop is not None and stop(samples):
             raise _StopMember
 
     error = ""
     try:
-        run(state, stepper, params, t_end, stride=stride,
-            observers=(collector,) if stop is None else (collector, check))
+        run(state, stepper, params, t_end, stride=stride, observers=(observe,))
     except _StopMember:
         pass
     except RuntimeError as exc:
         error = str(exc)
-    records = collector.records  # never empty: the initial state is sampled
-    t_stop = float(records[-1].t)
+    t_stop = float(samples[-1].t)  # never empty: the initial state is sampled
     try:
-        fit = fit_exponential_rate([record.t for record in records],
-                                   [record.l2_f_dev for record in records],
+        fit = fit_exponential_rate([sample.t for sample in samples],
+                                   [sample.l2_f_dev for sample in samples],
                                    window=(fit_from * t_stop, t_stop))
     except ValueError as exc:
         fit = str(exc)
-    mass_err = max(abs(record.mass - 1.0) for record in records)
-    return t_stop, error, mass_err, min(record.min_f for record in records), fit
+    mass_err = max(abs(sample.mass - 1.0) for sample in samples)
+    return t_stop, error, mass_err, min(sample.min_f for sample in samples), fit
 
 
 # --- growth match -------------------------------------------------------------------
@@ -639,8 +644,8 @@ def run_stability_sweep(
     base_state = initial_state(cfg, "random")
     dev_cap = 0.2 / math.sqrt(TWO_PI)  # stop well before trails saturate
 
-    def reached_cap(records):
-        return len(records) > 1 and records[-1].l2_f_dev >= dev_cap
+    def reached_cap(samples):
+        return len(samples) > 1 and samples[-1].l2_f_dev >= dev_cap
 
     rows = []
     for chi in chi_values:

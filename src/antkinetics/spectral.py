@@ -161,14 +161,6 @@ class SpectralGrid:
         w[0] = w[-1] = 1.0
         return w
 
-    @cached_property
-    def cos_theta(self):
-        return np.cos(self.theta)
-
-    @cached_property
-    def sin_theta(self):
-        return np.sin(self.theta)
-
     # the turning bias: its four angular waves, and the multipliers of the
     # gradient (g1, g2) and the Hessian (c11, c12, c22), stacked as complex
     @cached_property

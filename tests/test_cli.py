@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from antkinetics import cli, dynamics
+from antkinetics import cli, diagnostics, dynamics
 from antkinetics.cli import _parse_chi_grid, _parse_sigma_sweep, build_parser, main
 from antkinetics.dynamics import homogeneous_state, write_checkpoint
 from antkinetics.experiments import MODEL_KEYS, ExperimentKind, build_config, run_simulate
@@ -531,6 +531,21 @@ class TestStabilitySweep:
         result = json.loads(out)
         assert [row["rate"] for row in result["rows"]] == [None, None]
         assert result["empirical_threshold"] is None and result["threshold_ok"] is False
+
+
+@pytest.mark.parametrize("command", ["growth-match --k 1 --n-modes 8 --t-end 0.4",
+                                     "stability-sweep --t-end 0.08 --stride 1"])
+def test_members_never_compute_a_full_record(config, capsys, monkeypatch, command):
+    """A member's summary reads four numbers of a sample; the full record's
+    observables are never computed."""
+
+    def refuse(state, params):
+        raise RuntimeError("compute_observables called")
+
+    monkeypatch.setattr(diagnostics, "compute_observables", refuse)
+    code, out, err = run_cli(command.split() + ["--config", config], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok" if command.startswith("growth") else "threshold_ok"]
 
 
 class TestSimulate:

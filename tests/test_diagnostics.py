@@ -13,10 +13,13 @@ from antkinetics.diagnostics import (
     _TRAIL_PROMINENCE,
     LP_ORDERS,
     ObservableCollector,
+    RECORD_FIELDS,
     ObservableRecord,
+    Sample,
     _prominent_peaks,
     compute_observables,
     count_trails,
+    deviation_sample,
     dissipation_residual,
     dominant_wavenumber,
     fit_exponential_rate,
@@ -302,6 +305,25 @@ def test_observables_have_the_bits_of_the_per_call_expressions(shape, coupling, 
     assert record_to_dict(record) == record_to_dict(expect)
     assert record.balance_terms == expect.balance_terms
     assert (record.balance_terms[2] != 0.0) == (chi != 0.0)
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (16, 24, 32)])
+@pytest.mark.parametrize("coupling", ["elliptic", "parabolic"])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("start", ["homogeneous", "random"])
+def test_member_sample_is_the_records_leading_fields(shape, coupling, tau, start):
+    """The four numbers a member samples equal the record's, bit for bit."""
+    grid = SpectralGrid(*shape)
+    p = params(chi=4.0, tau=tau, coupling=coupling)
+    if start == "homogeneous":
+        state = homogeneous_state(grid, p)
+    else:
+        state = random_band_limited_state(grid, p, np.random.default_rng(7), 4, 0.1)
+        state.t = 0.37
+    sample = deviation_sample(state)[0]
+    record = compute_observables(state, p)
+    assert Sample._fields == RECORD_FIELDS[:4]
+    assert sample == tuple(getattr(record, name) for name in Sample._fields)
 
 
 class TestFitExponentialRate:

@@ -428,8 +428,8 @@ def reference_rhs(stepper, f_phys, c_hat):
     terms, zero curvature parts included, and the mask applied last."""
     grid, p = stepper.grid, stepper.params
     rhs = np.zeros(grid.shape_four3, dtype=complex)
-    div = grid.ik1_3d * fft3(grid.cos_theta[None, None, :] * f_phys)
-    div += grid.ik2_3d * fft3(grid.sin_theta[None, None, :] * f_phys)
+    div = grid.ik1_3d * fft3(np.cos(grid.theta)[None, None, :] * f_phys)
+    div += grid.ik2_3d * fft3(np.sin(grid.theta)[None, None, :] * f_phys)
     rhs -= p.lam * div
     g1, g2, *sr = turning_bias_parts(c_hat, grid, p.tau)
     zero = np.zeros(grid.shape_phys2)

@@ -1,6 +1,6 @@
 """Tests for the experiment harness: configs, seeds, scans, sweeps, runs."""
 
-import json
+import concurrent.futures
 import math
 import os
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from antkinetics import dynamics, experiments
-from antkinetics.diagnostics import ObservableCollector, record_to_dict
+from antkinetics.diagnostics import deviation_sample
 from antkinetics.dynamics import read_checkpoint, write_checkpoint
 from antkinetics.experiments import (
     ExperimentKind,
@@ -260,7 +260,7 @@ class TestDispersionAndScan:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         cfg = build_config(mapping(chi="4.0", threads="8"), ExperimentKind.DISPERSION_MAP)
         result = run_instability_scan(cfg, k_max=k_max, n_modes=24)
@@ -344,23 +344,27 @@ class TestStabilitySweep:
             run_stability_sweep(cfg, chi_values=[0.0], k_max=5, t_end=0.004)
 
     @staticmethod
-    def capture_collectors(monkeypatch):
-        """Patch the sweep's ``run`` to hand back each member's collector."""
-        collectors = []
+    def capture_runs(monkeypatch):
+        """Patch the sweep's ``run`` to hand back, per member, the state it
+        starts from and the samples it takes, recorded before the member's own
+        observer may stop it."""
+        runs = []
         real_run = experiments.run
 
         def spy(state, *args, **kwargs):
-            collectors.append(kwargs["observers"][0])
-            return real_run(state, *args, **kwargs)
+            samples = []
+            runs.append((state, samples))
+            observers = (lambda s: samples.append(deviation_sample(s)[0]), *kwargs["observers"])
+            return real_run(state, *args, **dict(kwargs, observers=observers))
 
         monkeypatch.setattr(experiments, "run", spy)
-        return collectors
+        return runs
 
     def test_one_run_and_one_stepper_per_member(self, monkeypatch):
         cfg = build_config(
             mapping(chi="1.0", seed="2", dt="1e-2"), ExperimentKind.STABILITY_SWEEP
         )
-        collectors = self.capture_collectors(monkeypatch)
+        runs = self.capture_runs(monkeypatch)
         built = []
         real_init = dynamics.Stepper.__init__
 
@@ -375,11 +379,11 @@ class TestStabilitySweep:
         result = run_stability_sweep(
             cfg, chi_values=chi_values, k_max=2, t_end=t_end, stride=stride
         )
-        assert len(collectors) == len(chi_values)
-        assert len(built) == len(collectors)
+        assert len(runs) == len(chi_values)
+        assert len(built) == len(runs)
 
         dev_cap = 0.2 / math.sqrt(TWO_PI)
-        decaying, capped = (collector.records for collector in collectors)
+        decaying, capped = (samples for _, samples in runs)
         for records, row in zip((decaying, capped), result["rows"]):
             assert [r.t for r in records] == [i * stride * dt for i in range(len(records))]
             assert row["t_stop"] == records[-1].t
@@ -388,21 +392,18 @@ class TestStabilitySweep:
         assert capped[-1].l2_f_dev >= dev_cap
         assert all(r.l2_f_dev < dev_cap for r in capped[1:-1])
 
-    def test_initial_data_keys_reach_the_sweep(self, tmp_path, monkeypatch):
+    def test_initial_data_keys_reach_the_sweep(self, monkeypatch):
         keys = mapping(seed="3")
-        sim = build_config(keys, ExperimentKind.SIMULATE, out_dir=str(tmp_path))
-        run_simulate(sim, t_end=2 * sim.stepper.dt, stride=1)
-        with open(tmp_path / "observables.ndjson", encoding="utf-8") as fh:
-            simulated = json.loads(fh.readline())
+        simulated = initial_state(build_config(keys, ExperimentKind.SIMULATE), "random")
 
-        collectors = self.capture_collectors(monkeypatch)
+        runs = self.capture_runs(monkeypatch)
         sweep = build_config(keys, ExperimentKind.STABILITY_SWEEP)
         run_stability_sweep(sweep, chi_values=[1.0], t_end=2 * sweep.stepper.dt, stride=1)
-        swept = json.loads(json.dumps(record_to_dict(collectors[0].records[0])))
-        assert swept == simulated
-        default = ObservableCollector(sweep.params)
-        default(initial_state(build_config(mapping(), ExperimentKind.SIMULATE)))
-        assert default.records[0].l2_f_dev != swept["l2_f_dev"]
+        [(swept, _)] = runs
+        assert swept.f_hat.tobytes() == simulated.f_hat.tobytes()
+        assert swept.c_hat.tobytes() == simulated.c_hat.tobytes()
+        default = initial_state(build_config(mapping(), ExperimentKind.SIMULATE), "random")
+        assert default.f_hat.tobytes() != swept.f_hat.tobytes()
 
 
 class TestInitialState:
