@@ -16,7 +16,15 @@ residual combines its own terms with its neighbours' energies, so the
 collector back-fills it once the next sample is taken and keeps no state.
 The fixed Parseval weights of the norms, and the waves and multipliers of
 the turning bias, come from the grid, which builds each once, on its first
-sample.
+sample; the collector builds the dissipation weights on its first sample
+and keeps them for the run.  The physical f and the turning-bias parts of
+c_hat are the state's own caches (see :class:`~antkinetics.dynamics.PhaseState`):
+an observation builds them at most once, and the step from the state reads
+the same arrays, so a sample costs only the work its state has not
+already done.
+
+Only the JSON line builds a record's dict, through one strict encoder; the
+finiteness check and the CSV read the record's values in column order.
 
 The record's first four fields (t, the mass, min f and the L^2 deviation)
 come from :func:`deviation_sample`, which an ensemble member calls alone:
@@ -36,7 +44,7 @@ import numpy as np
 
 from .dynamics import PhaseState, dissipation_rates, marginal_hat
 from .params import ModelParams
-from .spectral import expand_bias, fft2, ifft2, lp_norm_phys, turning_bias_parts
+from .spectral import expand_bias, fft2, half_axis_power, ifft2, lp_norm_phys
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,12 +124,13 @@ def count_trails(rho: np.ndarray, grid) -> int:
         return 0
     m1, m2 = mode
     profile = rho.mean(axis=1) if m1 >= m2 else rho.mean(axis=0)
-    span = float(np.max(profile) - np.min(profile))
+    values = profile.tolist()
+    low = min(values)
+    span = max(values) - low
     if span <= 1.0e-12 * max(1.0, abs(float(np.mean(profile)))):
         return 0
-    rolled = np.roll(profile, -int(np.argmin(profile)))
-    extended = np.concatenate([rolled, rolled[:1]])
-    return _prominent_peaks(extended.tolist(), _TRAIL_PROMINENCE * span)
+    start = values.index(low)
+    return _prominent_peaks(values[start:] + values[: start + 1], _TRAIL_PROMINENCE * span)
 
 
 def _prominent_peaks(x: list, h: float) -> int:
@@ -154,9 +163,7 @@ def deviation_sample(state: PhaseState):
     grid = state.grid
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
     f_hat = state.f_hat
-    sq = np.abs(f_hat) ** 2
-    power = grid.half_weights[None, :, None] * sq
-    power_sum = float(np.sum(power))
+    sq, power, power_sum = half_axis_power(f_hat, grid)
     zero_dev = abs(f_hat[0, 0, 0] - n_tot / TWO_PI) ** 2
     l2_dev = math.sqrt(
         max(TWO_PI * (power_sum - float(power[0, 0, 0]) + zero_dev), 0.0)
@@ -165,11 +172,20 @@ def deviation_sample(state: PhaseState):
     return sample, sq, power, power_sum
 
 
-def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRecord:
+def _dissipation_weights(grid, params: ModelParams) -> np.ndarray:
+    """The half-axis Parseval weights times the dissipation rates."""
+    return grid.half_weights[None, :, None] * dissipation_rates(grid, params)
+
+
+def compute_observables(state: PhaseState, params: ModelParams,
+                        dissipation_weights=None) -> ObservableRecord:
+    """The state's record, its residual left None; the dissipation weights
+    (see :class:`ObservableCollector`) are built here when not given."""
     grid = state.grid
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
     n_xy = grid.n_x1 * grid.n_x2
-    w3 = grid.half_weights[None, :, None]
+    if dissipation_weights is None:
+        dissipation_weights = _dissipation_weights(grid, params)
 
     f_hat = state.f_hat
     f_phys = state.f_physical()
@@ -190,11 +206,11 @@ def compute_observables(state: PhaseState, params: ModelParams) -> ObservableRec
 
     # the residual is a sum of nearly cancelling terms: keep the operand order
     f_sq = TWO_PI * power_sum / n_tot**2
-    dissip = TWO_PI * float(np.sum(w3 * dissipation_rates(grid, params) * sq)) / n_tot**2
+    dissip = TWO_PI * float(np.sum(dissipation_weights * sq)) / n_tot**2
     turning = 0.0
     if params.chi != 0.0:
         # d_theta B is the bias expansion of the rotated parts
-        g1, g2, *sr = turning_bias_parts(c_hat, grid, params.tau)
+        g1, g2, *sr = state.bias_parts(params.tau)
         rotated = (g2, -g1, -2.0 * sr[1], 2.0 * sr[0]) if sr else (g2, -g1)
         db = expand_bias(rotated, grid)
         turning = 0.5 * params.chi * float(np.sum(f_phys * f_phys * db)) * grid.cell_volume
@@ -237,15 +253,19 @@ class ObservableCollector:
 
     Collects one record per sample and, once the next sample is taken,
     back-fills the energy-balance residual of the one before it from the
-    records alone; no state is kept.
+    records alone; no state is kept.  The dissipation weights are built on
+    the first sample and kept for the grid.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.records: list[ObservableRecord] = []
+        self._weights = (None, None)  # (grid, dissipation weights)
 
     def __call__(self, state: PhaseState) -> None:
-        self.records.append(compute_observables(state, self.params))
+        if self._weights[0] != state.grid:
+            self._weights = (state.grid, _dissipation_weights(state.grid, self.params))
+        self.records.append(compute_observables(state, self.params, self._weights[1]))
         if len(self.records) >= 3:
             self.records[-2].dissipation_residual = dissipation_residual(self.records[-3:])
 
@@ -305,35 +325,43 @@ def record_to_dict(record: ObservableRecord) -> dict:
     return out
 
 
-def _csv_row(record: ObservableRecord) -> dict:
-    row = record_to_dict(record)
-    row.update((f"lp_rho_{p}", value) for p, value in row.pop("lp_rho").items())
-    return row
+def _csv_values(record: ObservableRecord) -> list:
+    """The record's values in the order of ``CSV_COLUMNS``."""
+    return [value for name in RECORD_FIELDS for value in (
+        map(record.lp_rho.get, LP_ORDERS) if name == "lp_rho" else (getattr(record, name),))]
 
 
 def record_is_finite(record: ObservableRecord) -> bool:
     """False when any value overflowed; a missing residual counts as finite."""
-    return all(value is None or math.isfinite(value) for value in _csv_row(record).values())
+    return all(value is None or math.isfinite(value) for value in _csv_values(record))
+
+
+# one strict encoder for every record: no NaN or Infinity in the output
+_JSON = json.JSONEncoder(allow_nan=False)
 
 
 def write_ndjson(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), allow_nan=False) + "\n")
+        fh.writelines(_JSON.encode(record_to_dict(record)) + "\n" for record in records)
 
 
-def write_table(path, columns, rows) -> None:
-    """CSV with a header row; ``rows`` are dicts, written as floats by ``repr``
-    and ``None`` or a missing column as an empty cell."""
+def _write_csv(path, columns, rows) -> None:
+    """CSV with a header row; each row is a sequence of values in column
+    order, floats written by ``repr`` and ``None`` as an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                "" if value is None else repr(value) if isinstance(value, float) else value
-                for value in map(row.get, columns)
-            )
+        writer.writerows(
+            ["" if value is None else repr(value) if isinstance(value, float) else value
+             for value in row]
+            for row in rows
+        )
+
+
+def write_table(path, columns, rows) -> None:
+    """:func:`_write_csv` of the dicts ``rows``; a missing column is an empty cell."""
+    _write_csv(path, columns, (map(row.get, columns) for row in rows))
 
 
 def write_records_csv(path, records) -> None:
-    write_table(path, CSV_COLUMNS, map(_csv_row, records))
+    _write_csv(path, CSV_COLUMNS, map(_csv_values, records))

@@ -65,7 +65,21 @@ class StepperConfig:
 
 @dataclass
 class PhaseState:
-    """Fourier-space state of the walker density and chemical field."""
+    """Fourier-space state of the walker density and chemical field.
+
+    A state caches two fields derived from its coefficients, each built on
+    first use and marked read-only: the physical density
+    (:meth:`f_physical`) and the turning-bias parts of ``c_hat``
+    (:meth:`bias_parts`).  An observer and the step from the state share
+    them: the step reads the physical density always, and the cached parts
+    whenever its first chemical field has the bits of ``c_hat``.  That holds
+    for the parabolic coupling, and for an elliptic ``c_hat`` that is the
+    solve of its density: every state a step makes, a
+    :func:`state_from_density` without ``c_values``, and a checkpoint of
+    either.
+    Both caches assume the coefficients are never written in place; the
+    solver always builds a new state instead.
+    """
 
     grid: SpectralGrid
     f_hat: np.ndarray
@@ -73,19 +87,29 @@ class PhaseState:
     t: float = 0.0
     step: int = 0
     _f_phys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # (tau, parts) of the last bias_parts call
+    _bias: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def f_physical(self, work=None) -> np.ndarray:
         """The physical density, transformed once per state and read only.
 
         ``work`` is a complex scratch for the transform (see
-        :func:`~antkinetics.spectral.ifft3`).  The cache assumes ``f_hat`` is
-        never written in place after the first call; the solver always
-        builds a new state instead.
+        :func:`~antkinetics.spectral.ifft3`).
         """
         if self._f_phys is None:
             self._f_phys = ifft3(self.f_hat, self.grid, work=work)
             self._f_phys.flags.writeable = False
         return self._f_phys
+
+    def bias_parts(self, tau: float):
+        """:func:`~antkinetics.spectral.turning_bias_parts` of ``c_hat`` at
+        ``tau``, built once per state and tau and read only."""
+        if self._bias is None or self._bias[0] != tau:
+            parts = turning_bias_parts(self.c_hat, self.grid, tau)
+            for part in parts:
+                part.flags.writeable = False
+            self._bias = (tau, parts)
+        return self._bias[1]
 
     def mass(self) -> float:
         return float(self.f_hat[0, 0, 0].real) * self.grid.cell_volume
@@ -210,8 +234,12 @@ class Stepper:
         div += np.multiply(grid.ik2_3d, t2, out=t2)
         return np.multiply(self.params.lam, div, out=div)
 
-    # explicit part: -lambda div_x(v f) - chi d_theta(B f), from the physical f
-    def explicit_rhs(self, f_phys, c_hat, out=None):
+    def explicit_rhs(self, f_phys, c_hat, out=None, parts=None):
+        """-lambda div_x(v f) - chi d_theta(B f) from the physical f, into ``out``.
+
+        ``parts`` are the turning-bias parts of ``c_hat`` when already built;
+        returns the RHS and max |B|.
+        """
         grid, params = self.grid, self.params
         rhs = np.empty(grid.shape_four3, dtype=complex) if out is None else out
         max_abs_b = 0.0
@@ -220,7 +248,8 @@ class Stepper:
         else:
             rhs.fill(0.0)
         if params.chi != 0.0:
-            parts = turning_bias_parts(c_hat, grid, params.tau)
+            if parts is None:
+                parts = turning_bias_parts(c_hat, grid, params.tau)
             bias = expand_bias(parts, grid, out=self._bias, work=self._prod)
             max_abs_b = max(float(np.max(bias)), -float(np.min(bias)))
             turning = fft3(np.multiply(bias, f_phys, out=bias), out=self._t1, keep=self.keep)
@@ -253,8 +282,12 @@ class Stepper:
         if not parabolic:
             c_hat = self.chemical_of(c_hat, rho0)
 
+        # the state's cached bias parts serve any field with the bits of its c_hat
+        shared = params.chi != 0.0 and (
+            c_hat is state.c_hat or c_hat.tobytes() == state.c_hat.tobytes())
+        parts = state.bias_parts(params.tau) if shared else None
         f_phys = state.f_physical()
-        n1, max_abs_b = self.explicit_rhs(f_phys, c_hat, out=self._n1)
+        n1, max_abs_b = self.explicit_rhs(f_phys, c_hat, out=self._n1, parts=parts)
 
         # the parabolic field is driven by the frozen (IMEX) or trapezoidal
         # (ETDRK2) production; the elliptic one is slaved to the new density

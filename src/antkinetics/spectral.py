@@ -287,11 +287,18 @@ def expand_bias(parts, grid: SpectralGrid, out=None, work=None):
 # --- norms ----------------------------------------------------------------------
 
 
+def half_axis_power(coeffs, grid: SpectralGrid):
+    """Parseval sum of 3-D coefficients: ``(sq, power, total)`` with sq = |coeffs|^2,
+    power its entries weighted for the half axis, and total the sum of power."""
+    sq = np.abs(coeffs) ** 2
+    power = grid.half_weights[None, :, None] * sq
+    return sq, power, float(np.sum(power))
+
+
 def l2_norm3_hat(f_hat, grid: SpectralGrid) -> float:
     """L^2(x, theta) norm from 3-D coefficients (Parseval, half axis weighted)."""
     n_tot = grid.n_x1 * grid.n_x2 * grid.n_theta
-    s = np.sum(grid.half_weights[None, :, None] * np.abs(f_hat) ** 2)
-    return float(np.sqrt(TWO_PI * s) / n_tot)
+    return float(np.sqrt(TWO_PI * half_axis_power(f_hat, grid)[2]) / n_tot)
 
 
 def lp_norm_phys(values, p: float, cell_measure: float) -> float:

@@ -131,6 +131,49 @@ class TestCountTrails:
             assert count_trails(rho, grid) == reference_trails(rho.mean(axis=1))
 
 
+def numpy_profile_trails(profile):
+    """count_trails on an x1 profile in its earlier numpy form: span, roll
+    and close by numpy calls."""
+    span = float(np.max(profile) - np.min(profile))
+    if span <= 1.0e-12 * max(1.0, abs(float(np.mean(profile)))):
+        return 0
+    rolled = np.roll(profile, -int(np.argmin(profile)))
+    extended = np.concatenate([rolled, rolled[:1]])
+    return _prominent_peaks(extended.tolist(), _TRAIL_PROMINENCE * span)
+
+
+def ridges(size, *peaks):
+    """A zero profile with the given (index, height) samples."""
+    profile = np.zeros(size)
+    for index, height in peaks:
+        profile[index] = height
+    return profile
+
+
+# (profile of 32 samples, trail count)
+EDGE_PROFILES = {
+    # a second ridge of prominence 5.5 % of the span counts at 5 % but not at 6 %
+    "ridge at 5.5 %": (ridges(32, (8, 1.0), (24, 0.055)), 2),
+    "ridge at 4.5 %": (ridges(32, (8, 1.0), (24, 0.045)), 1),
+    "plateau": (ridges(32, *((i, 1.0) for i in range(10, 15)), (22, 0.5)), 2),
+    "tied peaks and minima": (np.tile([0.0, 1.0, 2.0, 1.0], 8), 8),
+    "minimum first": (ridges(32, (0, -1.0), (9, 1.0), (20, 0.5)), 2),
+    "minimum last": (ridges(32, (31, -1.0), (9, 1.0), (20, 0.5)), 2),
+    "tied minima at both ends": (ridges(32, (0, -1.0), (31, -1.0), (16, 1.0)), 1),
+    "flat": (np.full(32, 0.25), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_PROFILES))
+def test_edge_profiles_count_as_the_numpy_formulation(grid, name):
+    profile, expect = EDGE_PROFILES[name]
+    rho = profile[:, None] * np.ones(grid.shape_phys2)
+    assert count_trails(rho, grid) == expect
+    assert numpy_profile_trails(rho.mean(axis=1)) == expect
+    if expect:
+        assert reference_trails(rho.mean(axis=1)) == expect
+
+
 def periodic_profile(i, size, rng):
     """Gaussian noise, integers 0-3 (plateaus and ties) or a quantised
     sinusoid, by i mod 3."""
@@ -388,6 +431,16 @@ class TestDissipationResidual:
             dissipation_residual(records[:2])
         records[2].t = 0.57
         assert dissipation_residual(records) is None
+
+    def test_unequal_spacing_is_refused_past_one_part_in_1e9(self, grid):
+        """Spacings that differ by 1e-8 relative give None; by 1e-10, a residual."""
+        p = params(lam=0.0)
+        records = self.heat_records(grid, p, 0.5, 0.02)
+        d10 = records[1].t - records[0].t
+        records[2].t = records[1].t + d10 * (1.0 + 1.0e-8)
+        assert dissipation_residual(records) is None
+        records[2].t = records[1].t + d10 * (1.0 + 1.0e-10)
+        assert dissipation_residual(records) is not None
 
     def test_collector_backfills_middle_samples(self, grid):
         p = params(chi=2.0)

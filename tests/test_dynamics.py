@@ -423,6 +423,69 @@ def test_step_allocates_little_beyond_the_new_state():
     assert peak - before < 3 * np.empty(grid.shape_phys3).nbytes
 
 
+@pytest.mark.parametrize("scheme, per_step", [("imex_euler", 0), ("etdrk2", 1)])
+@pytest.mark.parametrize("coupling", [Coupling.ELLIPTIC, Coupling.PARABOLIC])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_observer_and_step_share_each_states_bias_parts(monkeypatch, grid, scheme, per_step,
+                                                        coupling, tau):
+    """In a stride-1 run with a collector, each state's turning-bias parts are
+    built once, for the observer and the step from it; an ETDRK2 step adds
+    one build for its stage field."""
+    from antkinetics import diagnostics
+
+    calls = []
+
+    def counting_parts(*args, **kwargs):
+        calls.append(1)
+        return turning_bias_parts(*args, **kwargs)
+
+    for module in (dynamics, diagnostics):
+        monkeypatch.setattr(module, "turning_bias_parts", counting_parts, raising=False)
+    p = params(tau=tau, coupling=coupling)
+    state = random_band_limited_state(grid, p, np.random.default_rng(6), 4, 0.1)
+    collector = diagnostics.ObservableCollector(p)
+    run(state, StepperConfig(dt=1e-3, scheme=scheme), p, 0.005, observers=(collector,))
+    assert len(collector.records) == 6
+    assert len(calls) == 6 + 5 * per_step
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "etdrk2"])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_an_elliptic_state_off_its_solve_steps_alike_when_observed(grid, scheme, tau):
+    """An elliptic start whose chemical field is not the solve of its density:
+    the observer's bias parts are of that field, and the step, which solves
+    for its own, must not take them."""
+    from antkinetics.diagnostics import ObservableCollector
+
+    p = params(tau=tau)
+    f = random_band_limited_state(grid, p, np.random.default_rng(8), 4, 0.1).f_physical()
+    c = 1.0 / p.gamma + 0.1 * np.cos(TWO_PI * grid.x2)[None, :] * np.ones(grid.shape_phys2)
+
+    def start():
+        return state_from_density(grid, p, f, c_values=c)
+
+    solved = state_from_density(grid, p, f)
+    assert start().c_hat.tobytes() != solved.c_hat.tobytes()
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    plain = run(start(), cfg, p, 0.003).state
+    observed = run(start(), cfg, p, 0.003, observers=(ObservableCollector(p),)).state
+    # an elliptic step solves for its own field, so the explicit one leaves no trace
+    assert plain.f_hat.tobytes() == run(solved, cfg, p, 0.003).state.f_hat.tobytes()
+    for a, b in ((plain.f_hat, observed.f_hat), (plain.c_hat, observed.c_hat)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ratio, flagged", [(1.0e-7, True), (1.0e-9, False)])
+def test_positivity_floor_is_one_part_in_1e8_of_the_maximum(grid, ratio, flagged):
+    """A start with min f = -ratio * max f is flagged when ratio exceeds 1e-8."""
+    p = params(chi=0.0, lam=0.0)
+    f = np.full(grid.shape_phys3, 1.0 / TWO_PI)
+    f[3, 5, 7] = -ratio / TWO_PI
+    stepper = Stepper(grid, p, StepperConfig(dt=1e-3))
+    stepper.step(state_from_density(grid, p, f))
+    assert stepper.positivity_flagged is flagged
+
+
 def reference_rhs(stepper, f_phys, c_hat):
     """The explicit RHS with full forward transforms and all four bias
     terms, zero curvature parts included, and the mask applied last."""

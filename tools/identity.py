@@ -8,14 +8,19 @@ differs between the two:
 
 - *States.*  The sha256 of f_hat, c_hat and the physical f after a
   20-step ``dynamics.run`` from random, homogeneous and x1-only starts, and
-  the run's ``cfl_flagged`` and ``positivity_flagged``.  For each final
-  state also what an observation of it computes: the sha256 of every
-  ``spectral.turning_bias_parts(c_hat)`` array and the ``repr`` of the
-  ``diagnostics.compute_observables`` record, its balance terms included.
-  At 16^3 and 32^3 this covers both couplings, both schemes and tau in
-  {0, 0.5}; at 64^3 and on the non-cubic (16, 24, 32) grid, ETDRK2 from
-  the random and x1-only starts, both couplings and both tau.  Dealiasing
-  and the cost split differ by grid size, so 16^3 alone is not enough.
+  from an x1-only density with an explicit ``c_values`` field that is not
+  the elliptic solve, and the run's ``cfl_flagged`` and
+  ``positivity_flagged``.  Each run samples every step into a
+  ``diagnostics.ObservableCollector``, so the step shares its state's
+  turning-bias parts with the observer, and the ``repr`` of every record
+  is hashed.  For each final state also what an observation of it
+  computes: the sha256 of every ``spectral.turning_bias_parts(c_hat)``
+  array and the ``repr`` of the ``diagnostics.compute_observables``
+  record, its balance terms included.  At 16^3 and 32^3 this covers both
+  couplings, both schemes and tau in {0, 0.5}; at 64^3 and on the
+  non-cubic (16, 24, 32) grid, ETDRK2 from the random and x1-only starts,
+  both couplings and both tau.  Dealiasing and the cost split differ by
+  grid size, so 16^3 alone is not enough.
 - *Command line.*  The exit code, stdout, and the sha256 of every output
   file of each command, every subcommand included, all on a 16^3 config.
   For each ``*.field`` file also the sha256 of its coefficients as that
@@ -90,9 +95,9 @@ def _state_cases():
         for coupling in ("elliptic", "parabolic"):
             for scheme in ("imex_euler", "etdrk2"):
                 for tau in (0.0, 0.5):
-                    for start in ("random", "homogeneous", "x1"):
+                    for start in ("random", "homogeneous", "x1", "c_values"):
                         reduced = shape in ((64, 64, 64), (16, 24, 32))
-                        if reduced and (scheme != "etdrk2" or start == "homogeneous"):
+                        if reduced and (scheme != "etdrk2" or start in ("homogeneous", "c_values")):
                             continue
                         name = "x".join(map(str, shape)) + f" {coupling} {scheme} tau={tau} {start}"
                         yield name, shape, coupling, scheme, tau, start
@@ -101,7 +106,7 @@ def _state_cases():
 def _states(out: dict) -> None:
     import numpy as np
 
-    from antkinetics.diagnostics import compute_observables
+    from antkinetics.diagnostics import ObservableCollector, compute_observables
     from antkinetics.dynamics import StepperConfig, homogeneous_state, run, state_from_density
     from antkinetics.experiments import random_band_limited_state
     from antkinetics.params import Coupling, ModelParams
@@ -116,9 +121,16 @@ def _states(out: dict) -> None:
             state = homogeneous_state(grid, params)
         else:
             f = (1.0 + 0.2 * np.cos(2.0 * np.pi * grid.x1))[:, None, None] / (2.0 * np.pi)
-            state = state_from_density(grid, params, np.broadcast_to(f, grid.shape_phys3))
-        result = run(state, StepperConfig(dt=DT, scheme=scheme), params, STEPS * DT)
+            c = None
+            if start == "c_values":
+                c = (1.0 / params.gamma + 0.1 * np.cos(2.0 * np.pi * grid.x2)[None, :]
+                     + 0.05 * np.sin(2.0 * np.pi * grid.x1)[:, None])
+            state = state_from_density(grid, params, np.broadcast_to(f, grid.shape_phys3), c)
+        collector = ObservableCollector(params)
+        result = run(state, StepperConfig(dt=DT, scheme=scheme), params, STEPS * DT,
+                     observers=(collector,))
         state = result.state
+        out[f"state {name}: records"] = _sha("\n".join(map(repr, collector.records)).encode())
         out[f"state {name}: f_hat"] = _sha(state.f_hat.tobytes())
         out[f"state {name}: c_hat"] = _sha(state.c_hat.tobytes())
         out[f"state {name}: f"] = _sha(state.f_physical().tobytes())
